@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-diff bench-progress bench-scale bench-shard shard-diff figures figures-paper chaos fuzz fuzz-smoke snapshot-diff observe-diff service-soak vet fmt clean
+.PHONY: all build test test-short race cover bench bench-json bench-diff bench-progress bench-scale figures figures-paper chaos fuzz fuzz-smoke snapshot-diff observe-diff service-soak vet fmt clean
 
 all: build test
 
@@ -31,17 +31,13 @@ BENCH_PKGS = ./internal/telemetry/ ./internal/scenario/ ./internal/radio/
 
 # Capture a machine-readable benchmark baseline (telemetry on/off pair and
 # the radio-medium microbenchmarks included) for before/after comparisons.
-# The scale tier's 2000-node lazy-decay point and the shard tier's 10k pairs
-# — sequential control arm vs 8 shards (contact precision) and vs 4 shards
-# (low duty, construction timed) — ride along so the baseline records their
-# events/run — cheap under elision, and it arms the bench-diff event gate
-# for both tiers.
+# The scale tier's 2000-node lazy-decay point rides along so the baseline
+# records its events/run — cheap under elision, and it arms the bench-diff
+# event gate for that tier.
 bench-json:
 	( $(GO) test -bench=. -benchmem $(BENCH_PKGS) && \
 	  DFTMSN_SCALE_BENCH=1 $(GO) test -bench='BenchmarkRunLarge2000Idle$$' \
-			-benchmem -benchtime=3x ./internal/scenario/ && \
-	  DFTMSN_SHARD_BENCH=1 $(GO) test -bench='BenchmarkRunSharded(LowDuty)?10k' \
-			-benchmem -benchtime=1x ./internal/scenario/ ) \
+			-benchmem -benchtime=3x ./internal/scenario/ ) \
 		| $(GO) run ./cmd/benchjson > BENCH_baseline.json
 
 # Diff a fresh benchmark run against the committed baseline; exits nonzero
@@ -50,9 +46,7 @@ bench-json:
 bench-diff:
 	( $(GO) test -bench=. -benchmem $(BENCH_PKGS) && \
 	  DFTMSN_SCALE_BENCH=1 $(GO) test -bench='BenchmarkRunLarge2000Idle$$' \
-			-benchmem -benchtime=3x ./internal/scenario/ && \
-	  DFTMSN_SHARD_BENCH=1 $(GO) test -bench='BenchmarkRunSharded(LowDuty)?10k' \
-			-benchmem -benchtime=1x ./internal/scenario/ ) \
+			-benchmem -benchtime=3x ./internal/scenario/ ) \
 		| $(GO) run ./cmd/benchjson -diff BENCH_baseline.json
 
 # The observability overhead gate: the kernel progress probe (OnProgress
@@ -84,49 +78,6 @@ bench-scale:
 			-speedup-min 1.5 -speedup-events-min 5 \
 		< bench-scale.out
 	@rm -f bench-scale.out
-
-# The gated shard tier: full sequential-vs-sharded runs at 2000, 10k, and
-# 100k nodes in the mobility-dominated contact-precision regime (8 shards),
-# plus the low-duty 10k pair with construction timed (4 shards). Two >=3x
-# ns/op gates: the 8-shard contact-precision point needs >= 8 cores, the
-# 4-shard low-duty point needs >= 4; each is skipped (loudly) below its
-# core floor, and the events/run metric printed by every row still pins
-# sharded event counts to the sequential arm's regardless.
-bench-shard:
-	DFTMSN_SHARD_BENCH=1 $(GO) test -bench=BenchmarkRunSharded -benchtime=1x \
-			./internal/scenario/ | tee bench-shard.out
-	@if [ "$$(nproc)" -ge 8 ]; then \
-		$(GO) run ./cmd/benchjson \
-				-speedup-slow BenchmarkRunSharded10kSeq \
-				-speedup-fast BenchmarkRunSharded10k -speedup-min 3 \
-			< bench-shard.out; \
-	else \
-		echo "bench-shard: only $$(nproc) CPUs; skipping the 8-shard 3x speedup assertion (needs >= 8)"; \
-	fi
-	@if [ "$$(nproc)" -ge 4 ]; then \
-		$(GO) run ./cmd/benchjson \
-				-speedup-slow BenchmarkRunShardedLowDuty10kSeq \
-				-speedup-fast BenchmarkRunShardedLowDuty10k -speedup-min 3 \
-			< bench-shard.out; \
-	else \
-		echo "bench-shard: only $$(nproc) CPUs; skipping the 4-shard 3x speedup assertion (needs >= 4)"; \
-	fi
-	@rm -f bench-shard.out
-
-# The sharded-kernel differential gate under the race detector: with
-# Config.Shards as the only difference, Results (event counters included),
-# telemetry bytes, and snapshot encodings must be bit-identical to the
-# sequential kernel across the 10-config matrix and shard counts {2,4,8} —
-# with the phase-2 shardings (batched idle-span plan prep, sharded
-# construction and walker init) enabled, since scenario.New arms them for
-# every sharded run. The unit tier pins the mobility/radio batch phases,
-# the pool/kernel ownership rules, the scheduler's batch-step discipline,
-# the XiEpochs prep table, and the CoreBudget run/shard split directly.
-shard-diff:
-	$(GO) test -race \
-			-run 'TestShardedMatchesSequential|TestShardedSnapshotsCanonical|TestEncodeConfigIgnoresShards|TestStepShardedMatchesStep|TestRefreshPositionsShardedMatchesSequential|TestSchedulerShardStress|TestWheelShardStress|TestShardPool|TestBandCoversRange|TestResolveShards|TestSchedulerBatch|TestXiEpochsMatchesXiAt|TestCoreBudget|TestCampaignBudgetMatchesSequential|TestRequestKeyIgnoresShards|TestShardOverrideBitIdenticalAndCached' \
-			./internal/scenario/ ./internal/sim/ ./internal/mobility/ ./internal/radio/ \
-			./internal/routing/ ./internal/sweep/ ./internal/chaos/ ./internal/service/
 
 # Regenerate every table/figure at reduced scale (~30 min on one core).
 figures:

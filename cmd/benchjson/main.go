@@ -89,7 +89,7 @@ func (b Benchmark) MarshalJSON() ([]byte, error) {
 // row (the highest seen — the machine's effective GOMAXPROCS unless every
 // row ran under an explicit smaller -cpu list). Recording both keeps a
 // baseline self-describing: a diff can tell "this row is slower because the
-// baseline machine had more cores" from a real regression, and sharded
+// baseline machine had more cores" from a real regression, and native
 // rows keep matching across machines because only a row whose suffix
 // deviates from the document's GOMAXPROCS (an explicit -cpu sweep entry)
 // carries the suffix in its identity.

@@ -163,16 +163,16 @@ func TestParseCPUHeaders(t *testing.T) {
 // TestDiffMatchesAcrossProcs pins the procs-aware identity: native rows
 // (suffix == the document's GOMAXPROCS) match a baseline from a machine
 // with a different core count, while explicit -cpu sweep rows only match
-// their same-suffix counterpart — so sharded benchmarks diff row-for-row
+// their same-suffix counterpart — so benchmarks diff row-for-row
 // across machines without conflating a sweep's arms.
 func TestDiffMatchesAcrossProcs(t *testing.T) {
 	base := &Document{GOMAXPROCS: 8, Benchmarks: []Benchmark{
-		{Package: "p", Name: "BenchmarkRunSharded10k", Procs: 8, NsPerOp: 1000},
+		{Package: "p", Name: "BenchmarkRunLarge2000", Procs: 8, NsPerOp: 1000},
 		{Package: "p", Name: "BenchmarkSweep", Procs: 1, NsPerOp: 4000},
 		{Package: "p", Name: "BenchmarkSweep", Procs: 4, NsPerOp: 1000},
 	}}
 	fresh := &Document{GOMAXPROCS: 16, Benchmarks: []Benchmark{
-		{Package: "p", Name: "BenchmarkRunSharded10k", Procs: 16, NsPerOp: 1100},
+		{Package: "p", Name: "BenchmarkRunLarge2000", Procs: 16, NsPerOp: 1100},
 		{Package: "p", Name: "BenchmarkSweep", Procs: 1, NsPerOp: 9000}, // regression in the -cpu 1 arm
 		{Package: "p", Name: "BenchmarkSweep", Procs: 4, NsPerOp: 1000},
 	}}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	dftserve [-addr 127.0.0.1:8080] [-journal jobs.jsonl] [-state-dir DIR]
-//	         [-queue 64] [-workers 0] [-run-shards 1] [-retries 2]
+//	         [-queue 64] [-workers 0] [-retries 2]
 //	         [-tenant-rate 0] [-tenant-burst 8]
 //	         [-default-deadline 0] [-max-deadline 0] [-grace 5s]
 //	         [-log info] [-debug-addr 127.0.0.1:6060]
@@ -82,8 +82,7 @@ func run(args []string, out io.Writer) error {
 		journal  = fs.String("journal", "", "crash-safe job journal; replayed on start (empty = memory only)")
 		stateDir = fs.String("state-dir", "", "directory for chaos-campaign state files (empty = no campaign resume)")
 		queue    = fs.Int("queue", 64, "admission queue depth; overflow gets 429 + Retry-After")
-		workers  = fs.Int("workers", 0, "core budget split between concurrent jobs and per-run shards (0 = all CPUs)")
-		shards   = fs.Int("run-shards", 1, "kernel shards per run; the job pool gets workers/run-shards slots")
+		workers  = fs.Int("workers", 0, "simulations in flight at once across all jobs (0 = all CPUs)")
 		retries  = fs.Int("retries", 2, "retries before a failing job is quarantined")
 
 		tenantRate  = fs.Float64("tenant-rate", 0, "per-tenant admissions per second (0 = unlimited)")
@@ -117,7 +116,6 @@ func run(args []string, out io.Writer) error {
 	s, err := service.New(service.Options{
 		QueueDepth:       *queue,
 		Workers:          *workers,
-		RunShards:        *shards,
 		MaxRetries:       *retries,
 		TenantRatePerSec: *tenantRate,
 		TenantBurst:      *tenantBurst,

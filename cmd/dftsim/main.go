@@ -72,20 +72,6 @@
 // way, only the event count and wall time change. -cpuprofile and
 // -memprofile write pprof profiles of the run for use with `go tool
 // pprof`.
-//
-// -shards N spreads the kernel's O(N) batch phases — mobility free flight,
-// spatial-index refresh, carrier-poll verdicts, batched idle-span plan
-// prep, scenario construction, and walker init — across N worker
-// goroutines (PROTOCOL.md §15); 0 means one per CPU. Event dispatch stays
-// sequential, so the digest, any trace, and any snapshot are bit-identical
-// for every shard count; only wall time changes. The default of 1 runs the
-// sequential kernel untouched, and the knob is runtime-only: it applies
-// equally to -config and -restore runs and is never written by
-// -dumpconfig or into snapshots. Shard workers carry pprof labels
-// (shard=N, phase=mobility-step|index-refresh|carrier-poll|plan-prep|
-// construct|walker-init), so a -cpuprofile of a sharded run attributes
-// every parallel phase by shard and phase in `go tool pprof` (-tagfocus,
-// -taghide, or the labels view).
 package main
 
 import (
@@ -161,7 +147,6 @@ func run(args []string, out io.Writer) error {
 		restorePath  = fs.String("restore", "", "resume a saved snapshot instead of starting a new run (scenario flags are ignored)")
 
 		eagerDecay = fs.Bool("eager-decay", false, "disable event elision: run every decay tick and sleep cycle as a kernel event (control arm)")
-		shards     = fs.Int("shards", 1, "worker shards for the kernel's batch phases (0 = one per CPU); any value produces a bit-identical digest")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile (post-run) to this file")
 
@@ -270,10 +255,6 @@ func run(args []string, out io.Writer) error {
 	if *eagerDecay {
 		cfg.EagerDecay = true
 	}
-	// Applies in all three paths (flags, -config, -restore): the shard
-	// count is a runtime knob of this invocation, never part of a loaded
-	// config or snapshot.
-	cfg.Shards = *shards
 	if *deadline > 0 {
 		cfg.Cancel = dftmsn.WallClockDeadline(*deadline)
 	}
@@ -383,14 +364,6 @@ func run(args []string, out io.Writer) error {
 	if cancelled {
 		fmt.Fprintf(out, "deadline          %v expired; this digest is the completed prefix, not the %.0f s horizon\n",
 			*deadline, cfg.DurationSeconds)
-	}
-	if *shards != 1 {
-		// Printed as given, not resolved: digests must not vary by machine.
-		label := fmt.Sprintf("%d workers", *shards)
-		if *shards == 0 {
-			label = "one worker per CPU"
-		}
-		fmt.Fprintf(out, "shards            %s (digest bit-identical to -shards 1)\n", label)
 	}
 	fmt.Fprintf(out, "generated         %d messages\n", res.Delivery.Generated)
 	fmt.Fprintf(out, "delivered         %d (ratio %.3f, %d duplicate arrivals)\n",

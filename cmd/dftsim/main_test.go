@@ -242,41 +242,6 @@ func TestRunWithEagerDecay(t *testing.T) {
 	}
 }
 
-// TestRunWithShards pins the -shards contract: a sharded run prints the
-// byte-exact digest of a sequential one except for its own "shards" line
-// (and the wall clock), the default of 1 prints no shards line at all, and
-// -shards 0 labels itself machine-independently.
-func TestRunWithShards(t *testing.T) {
-	base := []string{"-scheme", "OPT", "-sensors", "15", "-sinks", "2",
-		"-duration", "300", "-seed", "5", "-v"}
-	var seq, shr, auto strings.Builder
-	if err := run(base, &seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(append([]string{}, base...), "-shards", "4"), &shr); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(append([]string{}, base...), "-shards", "0"), &auto); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(seq.String(), "shards") {
-		t.Errorf("default digest mentions shards:\n%s", seq.String())
-	}
-	if !strings.Contains(shr.String(), "shards            4 workers") {
-		t.Errorf("-shards 4 digest lacks its shards line:\n%s", shr.String())
-	}
-	if !strings.Contains(auto.String(), "shards            one worker per CPU") {
-		t.Errorf("-shards 0 digest lacks the per-CPU label:\n%s", auto.String())
-	}
-	trim := func(s string) string { return s[strings.Index(s, "generated"):] }
-	for name, run := range map[string]string{"4": shr.String(), "0": auto.String()} {
-		if trim(run) != trim(seq.String()) {
-			t.Errorf("-shards %s perturbed the physics digest:\n%s\n---\n%s",
-				name, seq.String(), run)
-		}
-	}
-}
-
 // TestRunSnapshotRestore checkpoints a run at mid-horizon, restores it in
 // a second process invocation, and checks the continued run prints the
 // exact digest of an uninterrupted one.

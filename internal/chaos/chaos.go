@@ -45,13 +45,12 @@ type Campaign struct {
 	Seed uint64
 	// Workers bounds the worker pool (0 means GOMAXPROCS).
 	Workers int
-	// Budget optionally splits cores between concurrent runs and per-run
-	// shards: when set it overrides Workers with Budget.Workers(), and
+	// Budget optionally caps the simulations in flight across every pool
+	// sharing it: when set it overrides Workers with Budget.Total(), and
 	// every simulation the campaign executes — randomized runs, shrink
-	// candidates, replays — Acquires its shard grant first and runs with
-	// Config.Shards set to it. Runtime-only: verdicts, failures, and state
-	// files are bit-identical with or without a budget, since every shard
-	// count is.
+	// candidates, replays — holds one slot while it runs. Runtime-only:
+	// verdicts, failures, and state files are bit-identical with or
+	// without a budget.
 	Budget *sweep.CoreBudget
 
 	// MinDeliveryRatio is a resilience lower bound: a run delivering a
@@ -243,7 +242,7 @@ func (c Campaign) Run() (Summary, error) {
 
 	workers := c.Workers
 	if c.Budget != nil {
-		workers = c.Budget.Workers()
+		workers = c.Budget.Total()
 	}
 	var cancelled atomic.Bool
 	errs := sweep.ParallelErrors(c.Runs, workers, func(i int) error {
@@ -374,9 +373,8 @@ func (c Campaign) runOnce(seed uint64, plan faults.Plan, cancel func() bool) (re
 		cfg.Faults = nil
 	}
 	if c.Budget != nil {
-		shards := c.Budget.Acquire(0)
-		defer c.Budget.Release(shards)
-		cfg.Shards = shards
+		c.Budget.Acquire()
+		defer c.Budget.Release()
 	}
 	s, err := scenario.New(cfg)
 	if err != nil {

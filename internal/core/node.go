@@ -162,7 +162,6 @@ type Node struct {
 	// coalesce into a single plan-end event (see planIdleSpan).
 	elide     bool
 	plan      idleSpan
-	prep      planPrep
 	planEndEv *sim.Event
 	planEndFn func()
 
@@ -199,23 +198,6 @@ type idleSpan struct {
 	rngSnap simrand.State
 }
 
-// planPrep is the sharded kernel's per-node scratch for the next idle-span
-// plan: the σ epoch table PrepIdleSpan computes read-only on a shard worker
-// while the node's plan-end event waits at the head of the queue. The table
-// exploits that XiAt is piecewise-constant between decay epochs — the drain
-// (planIdleSpan) looks σ up per cycle while drawing the τ values
-// sequentially, instead of walking the decay chain once per cycle. The
-// scratch is consume-on-use and validated against (at, tauMax), so a
-// dropped or stale prep silently falls back to the inline computation.
-type planPrep struct {
-	valid  bool
-	at     float64
-	tauMax int
-	times  []float64 // epoch boundary times, ascending; times[0] = at
-	xis    []float64 // ξ in effect from times[i] (exclusive of the next)
-	sigmas []int     // Sigma(xis[i], tauMax)
-}
-
 var _ mac.Policy = (*Node)(nil)
 
 // NewNode assembles a node: it attaches a radio to the medium, builds the
@@ -223,33 +205,6 @@ var _ mac.Policy = (*Node)(nil)
 // controller. position must stay valid for the run; profile is the radio
 // energy profile.
 func NewNode(
-	id packet.NodeID,
-	sched *sim.Scheduler,
-	medium *radio.Medium,
-	macCfg mac.Config,
-	params Params,
-	strategy routing.Strategy,
-	position func() geo.Point,
-	profile energy.Profile,
-	rng *simrand.Source,
-	rec telemetry.Recorder,
-) (*Node, error) {
-	n, err := newNodeDetached(id, sched, medium, macCfg, params, strategy, position, profile, rng, rec)
-	if err != nil {
-		return nil, err
-	}
-	medium.Register(n.radio)
-	return n, nil
-}
-
-// newNodeDetached is NewNode minus the medium registration: everything it
-// touches is node-local or a pure read (the radio is prepared but not
-// filed), so the sharded construction phase runs it on worker goroutines
-// for disjoint node bands and registers the radios afterwards, sequentially
-// in id order. Deferring registration to the end of construction is
-// unobservable in the sequential arm: nothing queries the medium until the
-// kernel runs.
-func newNodeDetached(
 	id packet.NodeID,
 	sched *sim.Scheduler,
 	medium *radio.Medium,
@@ -312,7 +267,7 @@ func newNodeDetached(
 		return nil, err
 	}
 	n.engine = eng
-	r, err := medium.PrepareRadio(id, position, eng, profile, radio.Idle)
+	r, err := medium.Attach(id, position, eng, profile, radio.Idle)
 	if err != nil {
 		return nil, err
 	}
@@ -469,12 +424,6 @@ func (n *Node) planIdleSpan(tauMax int) bool {
 	if n.strategy.HasData() || n.radio.State() != radio.Idle || n.radio.CarrierBusy() {
 		return false
 	}
-	// Consume the shard-side σ epoch table if one was prepped for exactly
-	// this instant and τ_max; either way the scratch is spent, so a stale
-	// table can never leak into a later plan.
-	pp := &n.prep
-	usePrep := pp.valid && pp.at == n.sched.Now() && pp.tauMax == tauMax
-	pp.valid = false
 	maxK := planMaxCycles
 	if n.sleepCtl != nil {
 		// The plan may extend at most to the cycle whose completion trips
@@ -492,33 +441,18 @@ func (n *Node) planIdleSpan(tauMax int) bool {
 		return false
 	}
 	now := n.sched.Now()
-	if usePrep && n.lazy != nil {
-		// Settle pending decay epochs through now exactly as the inline
-		// path's first XiAt(start=now) call would, so the tracker's raw
-		// state (and thus checkpoint bytes) matches the sequential arm.
-		n.lazy.XiAt(now)
-	}
 	p := &n.plan
 	p.starts, p.listens, p.ends, p.sigmas = p.starts[:0], p.listens[:0], p.ends[:0], p.sigmas[:0]
 	p.rngSnap = n.rng.State()
 	slot := n.macCfg.SlotTime
 	listen := float64(n.macCfg.ReceiverListenSlots) * slot
 	start := now
-	ei := 0 // prep epoch cursor; starts ascend, so it only moves forward
 	for k := 0; k < maxK; k++ {
-		var sigma int
-		if usePrep {
-			for ei+1 < len(pp.times) && pp.times[ei+1] <= start {
-				ei++
-			}
-			sigma = pp.sigmas[ei]
-		} else {
-			xi := n.strategy.Xi()
-			if n.lazy != nil {
-				xi = n.lazy.XiAt(start)
-			}
-			sigma = optimize.Sigma(xi, tauMax)
+		xi := n.strategy.Xi()
+		if n.lazy != nil {
+			xi = n.lazy.XiAt(start)
 		}
+		sigma := optimize.Sigma(xi, tauMax)
 		tau := n.rng.SlotIn(sigma)
 		// Stepwise, never factored: the eager timer chain accumulates
 		// l = s + τ·slot and e = l + R·slot one addition at a time, and the
@@ -539,63 +473,10 @@ func (n *Node) planIdleSpan(tauMax int) bool {
 		// Unreachable: every plan end is strictly in the future.
 		panic(fmt.Sprintf("core: idle-span end in the past: %v", err))
 	}
-	ev.SetOwner(n)
 	n.planEndEv = ev
 	p.active = true
 	return true
 }
-
-// PrepIdleSpan precomputes the σ epoch table the next planIdleSpan call at
-// virtual time at will consume — the draw-free half of plan construction.
-// It is strictly read-only (no RNG draws, no scheduler calls, no strategy
-// settling), so the sharded kernel calls it from worker goroutines for
-// disjoint node bands while the batch of plan-end events waits to fire; the
-// kernel goroutine then drains the draws sequentially in event order. When
-// any input it would need is only available by mutating (an out-of-date
-// Eq. 13 τ_max cache prunes the neighbour table), it leaves the scratch
-// invalid and the drain computes inline — bit-identical either way.
-func (n *Node) PrepIdleSpan(at float64) {
-	pp := &n.prep
-	pp.valid = false
-	if n.stopped || !n.elide {
-		return
-	}
-	if n.strategy.HasData() || n.radio.State() != radio.Idle || n.radio.CarrierBusy() {
-		return
-	}
-	var tauMax int
-	switch {
-	case !n.params.AdaptiveTau:
-		tauMax = n.params.TauMaxFixed
-	case n.tauForVer == n.nbVersion:
-		tauMax = n.tauCached
-	default:
-		return
-	}
-	pp.times, pp.xis = pp.times[:0], pp.xis[:0]
-	if n.lazy != nil {
-		// Cycle starts never reach at+planMaxSeconds (the span loop breaks
-		// at or past it), so epochs through that bound cover every lookup.
-		pp.times, pp.xis = n.lazy.XiEpochs(at, at+planMaxSeconds, pp.times, pp.xis)
-	} else {
-		// Non-lazy elide-eligible strategies have constant metrics (Direct,
-		// Epidemic, Sink), so Xi() is a pure read.
-		pp.times = append(pp.times, at)
-		pp.xis = append(pp.xis, n.strategy.Xi())
-	}
-	pp.sigmas = pp.sigmas[:0]
-	for _, xi := range pp.xis {
-		pp.sigmas = append(pp.sigmas, optimize.Sigma(xi, tauMax))
-	}
-	pp.at, pp.tauMax = at, tauMax
-	pp.valid = true
-}
-
-// DropPrep invalidates the PrepIdleSpan scratch. The scenario's batch-flush
-// hook calls it when a prepped plan-end event is pushed back behind a
-// foreign event, whose callback could change any input the table was
-// computed from.
-func (n *Node) DropPrep() { n.prep.valid = false }
 
 // replayBoundary applies the state updates of one fully elided idle-cycle
 // boundary at time t, in the exact order the eager arm's endCycle →
@@ -675,20 +556,9 @@ func (n *Node) planEnd() {
 // are in flight, since a busy carrier at the listen expiry ends the cycle
 // Deferred rather than idle.
 func (n *Node) PollCarrier() {
-	if n.CarrierPending() {
+	if n.plan.active && n.radio.CarrierBusy() {
 		n.materialize(n.sched.Now())
 	}
-}
-
-// CarrierPending reports whether PollCarrier would materialize this node's
-// idle-span plan right now: a plan is active and the radio senses a busy
-// carrier. It is strictly read-only — the plan flag is this node's own
-// state and carrier sense is a pure query over the medium's in-flight
-// frames and last-refreshed positions — so the sharded kernel may evaluate
-// it for disjoint node bands concurrently, then drain the positive verdicts
-// through PollCarrier sequentially in canonical node order.
-func (n *Node) CarrierPending() bool {
-	return n.plan.active && n.radio.CarrierBusy()
 }
 
 // FinalizeElision settles the node's elision accounting at the simulation

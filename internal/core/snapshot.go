@@ -213,7 +213,6 @@ func (n *Node) RestoreState(st NodeState) error {
 		if err != nil {
 			return fmt.Errorf("core: node %d: %w", n.id, err)
 		}
-		ev.SetOwner(n)
 		n.planEndEv = ev
 		p.active = true
 	}

@@ -78,7 +78,6 @@ type ZoneWalk struct {
 	grid  *geo.Grid
 	rng   *simrand.Source
 	nodes []walker
-	pend  []pending // StepSharded scratch; one slot per walker
 }
 
 var _ Model = (*ZoneWalk)(nil)
@@ -162,11 +161,7 @@ func (w *ZoneWalk) advance(n *walker, dt float64) {
 // reflect and draw nothing, so they are resolved inline; a boundary with a
 // neighbouring zone pauses the walker instead (paused=true with the pending
 // edge), because resolving it consumes draws from the shared mobility
-// stream. Splitting flight this way is what makes StepSharded bit-identical
-// to Step: the draw-free part runs on any goroutine, while every draw
-// happens on the kernel goroutine in walker-index order — the exact order
-// the sequential loop consumes the stream in. advanceFree touches only n
-// itself and pure grid geometry.
+// stream. advanceFree touches only n itself and pure grid geometry.
 func (w *ZoneWalk) advanceFree(n *walker, remaining float64, ev int) (left float64, evOut int, hit edge, paused bool) {
 	for ; ev < maxEvents && remaining > 1e-12; ev++ {
 		rect, err := w.grid.ZoneRect(n.zone)
@@ -233,7 +228,7 @@ func timeToBoundary(n *walker, rect geo.Rect) (edge, float64) {
 // crossOrBounce applies the paper's boundary rule at an edge that has a
 // neighbouring zone: cross with ExitProb (probability 1 if the neighbour is
 // home), otherwise reflect. This is the only place mobility consumes RNG
-// draws after construction, which is why callers resolve it sequentially.
+// draws after construction.
 func (w *ZoneWalk) crossOrBounce(n *walker, hit edge) {
 	rect, err := w.grid.ZoneRect(n.zone)
 	if err != nil {
@@ -276,7 +271,7 @@ func (w *ZoneWalk) crossOrBounce(n *walker, hit edge) {
 
 // reflect bounces n off the hit edge of rect: the normal direction
 // component flips and the position is nudged inside. Reflection draws
-// nothing, so advanceFree may apply it from any goroutine.
+// nothing, so advanceFree applies it inline.
 func (w *ZoneWalk) reflect(n *walker, rect geo.Rect, hit edge) {
 	const inset = 1e-6
 	switch hit {

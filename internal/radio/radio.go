@@ -171,24 +171,23 @@ func (b BurstConfig) Validate() error {
 
 // Medium is the shared broadcast channel. All radios attach to one medium.
 type Medium struct {
-	cfg        Config
-	sched      *sim.Scheduler
-	radios     []*Radio
-	active     []*transmission // frames in flight; swap-removed at frame end
-	index      *cellIndex      // nil when cfg.LinearScan
-	scratch    []*Radio        // reusable neighborhood-query buffer
-	keyScratch []int64         // RefreshPositionsSharded per-radio cell keys
-	txPool     []*transmission // recycled transmission objects
-	finishFn   func(any)       // bound once; frame-end events carry the tx as arg
-	stats      Stats
-	lossProb   float64
-	lossRng    *simrand.Source
-	burst      *BurstConfig
-	burstRng   *simrand.Source
-	burstBad   bool
-	burstEv    *sim.Event // retained flip handle; reused across flips
-	flipFn     func()     // bound once; scheduleBurstFlip reuses it
-	frameLog   func(now float64, src packet.NodeID, f packet.Frame)
+	cfg      Config
+	sched    *sim.Scheduler
+	radios   []*Radio
+	active   []*transmission // frames in flight; swap-removed at frame end
+	index    *cellIndex      // nil when cfg.LinearScan
+	scratch  []*Radio        // reusable neighborhood-query buffer
+	txPool   []*transmission // recycled transmission objects
+	finishFn func(any)       // bound once; frame-end events carry the tx as arg
+	stats    Stats
+	lossProb float64
+	lossRng  *simrand.Source
+	burst    *BurstConfig
+	burstRng *simrand.Source
+	burstBad bool
+	burstEv  *sim.Event // retained flip handle; reused across flips
+	flipFn   func()     // bound once; scheduleBurstFlip reuses it
+	frameLog func(now float64, src packet.NodeID, f packet.Frame)
 }
 
 // transmission is one frame in flight. Objects are pooled by the medium:
@@ -338,22 +337,6 @@ func (m *Medium) AirTime(f packet.Frame) sim.Duration {
 // must remain valid for the simulation's lifetime; handler receives events;
 // the radio starts in state initial (Off or Idle).
 func (m *Medium) Attach(id packet.NodeID, position func() geo.Point, handler Handler, profile energy.Profile, initial State) (*Radio, error) {
-	r, err := m.PrepareRadio(id, position, handler, profile, initial)
-	if err != nil {
-		return nil, err
-	}
-	m.Register(r)
-	return r, nil
-}
-
-// PrepareRadio builds a radio without filing it on the medium — everything
-// Attach does except the slot assignment and spatial-index insertion. It
-// only reads the medium (the meter samples the construction-time clock), so
-// the sharded construction phase calls it from worker goroutines building
-// disjoint node bands; Register then completes each attach on the caller's
-// goroutine in canonical id order, keeping radio slots and index insertion
-// order bit-identical to a sequential Attach loop.
-func (m *Medium) PrepareRadio(id packet.NodeID, position func() geo.Point, handler Handler, profile energy.Profile, initial State) (*Radio, error) {
 	if position == nil || handler == nil {
 		return nil, errors.New("radio: nil position or handler")
 	}
@@ -376,24 +359,18 @@ func (m *Medium) PrepareRadio(id packet.NodeID, position func() geo.Point, handl
 		profile:  profile,
 		meter:    meter,
 		state:    initial,
+		idx:      len(m.radios),
 	}
 	r.offFn = func() { r.setState(Off, m.sched.Now()) }
 	r.onFn = func() {
 		r.setState(Idle, m.sched.Now())
 		r.handler.OnAwake()
 	}
-	return r, nil
-}
-
-// Register files a prepared radio: it takes the next radio slot and enters
-// the spatial index. Call once per PrepareRadio result, on the goroutine
-// that owns the medium, in the same order a sequential Attach loop would.
-func (m *Medium) Register(r *Radio) {
-	r.idx = len(m.radios)
 	m.radios = append(m.radios, r)
 	if m.index != nil {
-		m.index.add(r, r.position())
+		m.index.add(r, position())
 	}
+	return r, nil
 }
 
 // RefreshPositions re-files every radio whose position moved it across a

@@ -277,35 +277,6 @@ func (f *FAD) XiAt(t float64) float64 {
 	return xi
 }
 
-// XiEpochs implements LazyDecayer without mutating the tracker: epochs
-// still pending at from fold into the starting value exactly as settleTo
-// would apply them (OnTimeout and PeekTimeout are the same floating-point
-// expression, and the tick chain below is the same accumulation settleTo
-// advances nextTick through), then each epoch in (from, to] appends one
-// (time, value) pair.
-func (f *FAD) XiEpochs(from, to float64, times, xis []float64) ([]float64, []float64) {
-	xi := f.prob.Value()
-	if f.lazyClock == nil || !f.lazyRunning {
-		return append(times, from), append(xis, xi)
-	}
-	tick := f.nextTick
-	for ; tick <= from; tick += f.lazyInterval {
-		if !f.txEver || tick-f.lastTx >= f.cfg.DecayInterval {
-			xi = f.prob.PeekTimeout(xi)
-		}
-	}
-	times = append(times, from)
-	xis = append(xis, xi)
-	for ; tick <= to; tick += f.lazyInterval {
-		if !f.txEver || tick-f.lastTx >= f.cfg.DecayInterval {
-			xi = f.prob.PeekTimeout(xi)
-		}
-		times = append(times, tick)
-		xis = append(xis, xi)
-	}
-	return times, xis
-}
-
 // Qualify implements Strategy: a qualified receiver has a strictly higher
 // delivery probability than the sender and buffer space for the message's
 // FTD (§3.2.1).

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"reflect"
 	"testing"
 
 	"dftmsn/internal/mac"
@@ -212,95 +211,6 @@ func TestLazyDecayMatchesEager(t *testing.T) {
 		tc := tc
 		t.Run(name, func(t *testing.T) {
 			newDecayHarness(t, tc.mk, tc.interval).script()
-		})
-	}
-}
-
-// checkEpochs pins the XiEpochs contract at the current instant: the table
-// it returns over [from, to] must agree exactly — bit for bit — with XiAt
-// probed at the window start, at every epoch boundary, and between
-// boundaries; and the call must be pure (same output twice, and the harness
-// keeps matching the eager arm afterwards, which the enclosing script
-// verifies with its later checkAt calls).
-func (h *decayHarness) checkEpochs(from, to float64) {
-	h.t.Helper()
-	times, xis := h.lazyD.XiEpochs(from, to, nil, nil)
-	if len(times) == 0 || len(times) != len(xis) {
-		h.t.Fatalf("XiEpochs(%v, %v): %d times, %d xis", from, to, len(times), len(xis))
-	}
-	if times[0] != from {
-		h.t.Fatalf("XiEpochs(%v, %v): first entry at %v, want window start", from, to, times[0])
-	}
-	t2, x2 := h.lazyD.XiEpochs(from, to, nil, nil)
-	if !reflect.DeepEqual(times, t2) || !reflect.DeepEqual(xis, x2) {
-		h.t.Fatalf("XiEpochs(%v, %v) not pure: second call diverged", from, to)
-	}
-	lookup := func(t float64) float64 {
-		i := 0
-		for i+1 < len(times) && times[i+1] <= t {
-			i++
-		}
-		return xis[i]
-	}
-	probes := []float64{from, to}
-	for i, tt := range times {
-		probes = append(probes, tt)
-		if i+1 < len(times) {
-			probes = append(probes, (tt+times[i+1])/2)
-		}
-	}
-	for _, p := range probes {
-		if p < from || p > to {
-			continue
-		}
-		if got, want := lookup(p), h.lazyD.XiAt(p); got != want {
-			h.t.Fatalf("XiEpochs(%v, %v) at t=%v: table %v != XiAt %v", from, to, p, got, want)
-		}
-	}
-}
-
-// TestXiEpochsMatchesXiAt is the differential for the batch-plan prep path:
-// the epoch table PrepIdleSpan reads must agree exactly with the XiAt calls
-// the sequential span builder makes, across decay gates, sink contacts,
-// resets, and crash/reboot lifecycles — and reading it must perturb nothing
-// (the interleaved checkAt calls keep holding the lazy arm to the eager one).
-func TestXiEpochsMatchesXiAt(t *testing.T) {
-	cases := map[string]struct {
-		mk       func() Strategy
-		interval float64
-	}{
-		"fad-default":       {mkFAD(30, 0.1), 30},
-		"fad-fast-epochs":   {mkFAD(30, 0.1), 7.3},
-		"fad-high-alpha":    {mkFAD(13.7, 0.9), 13.7},
-		"fad-tiny-interval": {mkFAD(0.25, 0.3), 0.25},
-		"zbr-default":       {mkZBR(0.1), 30},
-		"zbr-heavy-beta":    {mkZBR(0.85), 4.2},
-	}
-	for name, tc := range cases {
-		tc := tc
-		t.Run(name, func(t *testing.T) {
-			h := newDecayHarness(t, tc.mk, tc.interval)
-			iv := tc.interval
-			h.checkEpochs(0.5, 0.5+3*iv) // before any decay sequence starts
-			h.start(2)
-			h.checkEpochs(2.5, 2.5+4*iv)
-			h.checkAt(32)
-			h.checkEpochs(33, 33+10*iv)
-			h.checkEpochs(33, 33) // zero-width window: just the start entry
-			h.handoff(410.25, 1)
-			h.sentCycle(410.5)
-			h.checkAt(411)
-			h.checkEpochs(411, 411+6*iv) // spans the Eq. 1 no-decay gate
-			h.checkAt(700)
-			h.stop(800.125)
-			h.checkEpochs(900, 950) // stopped: frozen single-entry table
-			h.checkAt(950)
-			h.start(1000)
-			h.checkEpochs(1001, 1001+3*iv)
-			h.handoff(1033.75, 2)
-			h.sentCycle(1034)
-			h.checkAt(2500)
-			h.finish(2600.5)
 		})
 	}
 }

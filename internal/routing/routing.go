@@ -109,16 +109,6 @@ type LazyDecayer interface {
 	// mutate state beyond settling already-elapsed epochs; idle-cycle
 	// planners use it to pre-compute contention windows.
 	XiAt(t float64) float64
-	// XiEpochs appends to times/xis the piecewise-constant trajectory of
-	// XiAt over [from, to]: first the value at from (one entry with time
-	// from), then one entry per epoch landing in (from, to] with the value
-	// after that epoch, so XiAt(t) for any t in [from, to] equals xis[i]
-	// for the largest i with times[i] <= t — bit-for-bit, because every
-	// appended value walks the identical floating-point chain XiAt walks.
-	// Unlike XiAt it is strictly read-only (it settles nothing), so the
-	// sharded kernel's plan-prep pass may call it from worker goroutines
-	// while the node's state is quiescent.
-	XiEpochs(from, to float64, times, xis []float64) ([]float64, []float64)
 	// ElidedDecayTicks returns the cumulative number of epochs evaluated
 	// in closed form — each one a kernel event the eager arm would have
 	// scheduled and fired.

@@ -174,36 +174,6 @@ func (z *ZBR) XiAt(t float64) float64 {
 	return h
 }
 
-// XiEpochs implements LazyDecayer without mutating the tracker: the live
-// sink-contact flag feeds the first pending epoch and clears for the rest,
-// exactly as settleTo's applyEpoch replay would, with epochs pending at
-// from folded into the starting value and each epoch in (from, to]
-// appending one (time, value) pair.
-func (z *ZBR) XiEpochs(from, to float64, times, xis []float64) ([]float64, []float64) {
-	h := z.history
-	if z.lazyClock == nil || !z.lazyRunning {
-		return append(times, from), append(xis, h)
-	}
-	contact := 0.0
-	if z.sinkContact {
-		contact = 1
-	}
-	tick := z.nextTick
-	for ; tick <= from; tick += z.lazyInterval {
-		h = (1-z.cfg.Beta)*h + z.cfg.Beta*contact
-		contact = 0
-	}
-	times = append(times, from)
-	xis = append(xis, h)
-	for ; tick <= to; tick += z.lazyInterval {
-		h = (1-z.cfg.Beta)*h + z.cfg.Beta*contact
-		contact = 0
-		times = append(times, tick)
-		xis = append(xis, h)
-	}
-	return times, xis
-}
-
 // HasData implements Strategy.
 func (z *ZBR) HasData() bool { return z.fifo.Len() > 0 }
 

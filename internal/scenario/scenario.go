@@ -173,20 +173,6 @@ type Config struct {
 	// ProgressEvery is the minimum wall-clock interval between OnProgress
 	// calls (0 = 1s). Runtime-only.
 	ProgressEvery time.Duration
-	// Shards spreads the kernel's O(N) batch phases — mobility free flight,
-	// spatial-index refresh, carrier-poll verdicts — across this many
-	// worker shards (sim.ShardPool). Authoritative event dispatch stays
-	// single-threaded in global (time, seq) order and every RNG draw,
-	// scheduler operation, and telemetry record happens on the kernel
-	// goroutine in the sequential order, so any shard count produces
-	// bit-identical Results, telemetry bytes, and snapshots; the shard-diff
-	// suite pins this against the default. 1 (and 0 resolving to a single
-	// CPU) runs the existing sequential kernel untouched — the differential
-	// control arm, same discipline as LinearMedium and EagerDecay; 0 means
-	// one shard per CPU (GOMAXPROCS). Runtime-only, like Cancel and
-	// Recorder: excluded from the config encoding, so changing the shard
-	// count never changes a cache key or a snapshot fingerprint.
-	Shards int
 }
 
 // Progress is a live snapshot of a running simulation, delivered through
@@ -239,9 +225,6 @@ func DefaultConfig(scheme core.Scheme) Config {
 		DurationSeconds:     25_000,
 		MobilityTickSeconds: 1,
 		Seed:                1,
-		// Sequential control arm by default; sharding is opt-in (and a
-		// zero-built Config's Shards=0 opts in at one shard per CPU).
-		Shards: 1,
 	}
 }
 
@@ -306,9 +289,6 @@ func (c Config) Validate() error {
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("scenario: checkpoint interval %v must be >= 0", c.CheckpointEvery)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("scenario: shard count %d must be >= 0 (0 = one per CPU)", c.Shards)
 	}
 	return nil
 }
@@ -425,11 +405,6 @@ type Sim struct {
 	// Wall-clock throttle state for the progress probe (see armProgress).
 	progressStart time.Time
 	progressNext  time.Time
-
-	// Sharded batch-phase state (nil/empty when Config.Shards resolves to
-	// 1): the worker pool and the carrier-poll verdict scratch.
-	pool     *sim.ShardPool
-	pollBusy []bool
 }
 
 // faultPlan folds the legacy FailFraction/FailAtSeconds pair into the
@@ -459,13 +434,6 @@ func New(cfg Config) (*Sim, error) {
 	}
 	if cfg.OnProgress != nil {
 		s.armProgress()
-	}
-	if n := sim.ResolveShards(cfg.Shards); n > 1 {
-		s.pool = sim.NewShardPool(n)
-		// Batch plan construction: when consecutive "idle-span" plan-end
-		// events head the queue, their nodes' σ epoch tables precompute in
-		// parallel before the sequential RNG-draw drain (see shard.go).
-		s.sched.SetBatchPrep("idle-span", s.prepIdleSpans, s.flushIdleSpanPrep)
 	}
 	root := simrand.New(cfg.Seed)
 
@@ -550,7 +518,7 @@ func New(cfg Config) (*Sim, error) {
 		// Walk indices NumSensors..NumSensors+NumSinks-1 carry the sinks.
 		walkers += cfg.NumSinks
 	}
-	s.walk, err = mobility.NewZoneWalkSharded(s.grid, walkers, mobCfg, root.Split("mobility"), s.pool)
+	s.walk, err = mobility.NewZoneWalk(s.grid, walkers, mobCfg, root.Split("mobility"))
 	if err != nil {
 		return nil, err
 	}
@@ -608,38 +576,25 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 
-	// Sensors (IDs NumSinks..NumSinks+NumSensors-1). The rng streams split
-	// sequentially in id order here — Split consumes a parent draw, so the
-	// split order is part of the seed's stream contract — then NewNodes
-	// fans the draw-free construction across the pool (sharded arm) or runs
-	// the classic sequential loop (control arm), bit-identically.
-	specs := make([]core.NodeSpec, cfg.NumSensors)
+	// Sensors (IDs NumSinks..NumSinks+NumSensors-1).
 	for i := 0; i < cfg.NumSensors; i++ {
 		id := packet.NodeID(cfg.NumSinks + i)
-		walkIdx := i
-		specs[i] = core.NodeSpec{
-			ID:     id,
-			Params: params,
-			NewStrategy: func() (routing.Strategy, error) {
-				return core.NewStrategyWithOverrides(cfg.Scheme, id, cfg.QueueCapacity, isSink,
-					core.StrategyOverrides{
-						DeliveryThreshold:   cfg.DeliveryThreshold,
-						DropThreshold:       cfg.DropThreshold,
-						SkipSenderFTDUpdate: cfg.InjectSkipSenderFTD,
-					})
-			},
-			Position: func() geo.Point { return s.walk.Position(walkIdx) },
-			Rng:      root.Split(fmt.Sprintf("sensor/%d", i)),
-			Rec:      s.rec,
+		strat, err := core.NewStrategyWithOverrides(cfg.Scheme, id, cfg.QueueCapacity, isSink,
+			core.StrategyOverrides{
+				DeliveryThreshold:   cfg.DeliveryThreshold,
+				DropThreshold:       cfg.DropThreshold,
+				SkipSenderFTDUpdate: cfg.InjectSkipSenderFTD,
+			})
+		if err != nil {
+			return nil, err
 		}
-	}
-	sensors, err := core.NewNodes(s.sched, s.medium, macCfg, profile, specs, s.pool)
-	if err != nil {
-		return nil, err
-	}
-	for _, node := range sensors {
-		id := node.ID()
-		strat := node.Strategy()
+		walkIdx := i
+		node, err := core.NewNode(id, s.sched, s.medium, macCfg, params,
+			strat, func() geo.Point { return s.walk.Position(walkIdx) }, profile,
+			root.Split(fmt.Sprintf("sensor/%d", i)), s.rec)
+		if err != nil {
+			return nil, err
+		}
 		node.Engine().SetRecorder(s.rec)
 		s.sensors = append(s.sensors, node)
 		if fad, ok := strat.(*routing.FAD); ok {
@@ -687,10 +642,10 @@ func New(cfg Config) (*Sim, error) {
 	wheel := sim.NewWheel(s.sched, cfg.DurationSeconds)
 	s.wheel = wheel
 	tickStep := func(sim.Time) {
-		s.stepWalk(cfg.MobilityTickSeconds)
+		s.walk.Step(cfg.MobilityTickSeconds)
 		// Positions only change inside Step, so refreshing the medium's
 		// spatial index here keeps it exact between ticks.
-		s.refreshPositions()
+		s.medium.RefreshPositions()
 	}
 	if cfg.EagerDecay {
 		wheel.Add(cfg.MobilityTickSeconds, tickStep)
@@ -708,9 +663,9 @@ func New(cfg Config) (*Sim, error) {
 				return 0
 			}
 			for i := 0; i < n; i++ {
-				s.stepWalk(cfg.MobilityTickSeconds)
+				s.walk.Step(cfg.MobilityTickSeconds)
 			}
-			s.refreshPositions()
+			s.medium.RefreshPositions()
 			return n
 		})
 	}
@@ -852,13 +807,8 @@ func (f *fadRecorder) TxOutcome(msgID packet.MessageID, hadCopy bool, before flo
 // pollCarriers gives every coalesced idle span a chance to observe a busy
 // carrier after a mobility step (see core.Node.PollCarrier). Nodes without
 // an active span ignore it. The canonical order — sinks in id order, then
-// sensors — is the order materializations consume the kernel, so the
-// sharded variant must reproduce it exactly.
+// sensors — is the order materializations consume the kernel.
 func (s *Sim) pollCarriers() {
-	if s.pool != nil {
-		s.pollCarriersSharded()
-		return
-	}
 	for _, n := range s.sinks {
 		n.PollCarrier()
 	}
@@ -1026,15 +976,6 @@ func (s *Sim) ensureArmed() error {
 func (s *Sim) Run() (Result, error) {
 	if s.ran {
 		return Result{}, fmt.Errorf("scenario: simulation already ran")
-	}
-	if s.pool != nil {
-		// Release the shard workers when the one-shot run finishes; clearing
-		// the field makes any later batch phase fall back to the sequential
-		// path instead of touching a closed pool.
-		defer func() {
-			s.pool.Close()
-			s.pool = nil
-		}()
 	}
 	cancelled := false
 	if s.cfg.CheckpointEvery > 0 {

@@ -30,13 +30,6 @@ type Request struct {
 	// never feeds the cache key — but a streamed submission bypasses the
 	// cache fast path, since a live stream requires actually simulating.
 	Stream bool `json:"stream,omitempty"`
-	// Shards overrides the server's per-run shard grant for a "run" job
-	// (0 inherits the server default). Like Stream it is operational, not
-	// content: shard counts are bit-identical by construction, so the
-	// field never feeds the cache key — the same config at any shard
-	// count shares one cached result. Bounded by the server's core
-	// budget at submission.
-	Shards int `json:"shards,omitempty"`
 	// Config is the scenario configuration for "run" and "chaos" jobs.
 	Config json.RawMessage `json:"config,omitempty"`
 	// Sweep parameterizes a "sweep" job.
@@ -107,12 +100,6 @@ func DecodeRequest(r io.Reader) (Request, scenario.Config, error) {
 	}
 	if req.Stream && req.Kind != "run" {
 		return Request{}, scenario.Config{}, fmt.Errorf("service: only run jobs can stream (kind %q)", req.Kind)
-	}
-	if req.Shards < 0 {
-		return Request{}, scenario.Config{}, fmt.Errorf("service: negative shards %d", req.Shards)
-	}
-	if req.Shards != 0 && req.Kind != "run" {
-		return Request{}, scenario.Config{}, fmt.Errorf("service: only run jobs take a shard override (kind %q)", req.Kind)
 	}
 	switch req.Kind {
 	case "run", "chaos":

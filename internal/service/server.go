@@ -31,15 +31,10 @@ type Options struct {
 	// QueueDepth bounds the admission queue (default 64). A full queue
 	// rejects submissions with 429 and a Retry-After hint.
 	QueueDepth int
-	// Workers is the server's core budget (default GOMAXPROCS). The
-	// execution pool is sized at Workers / RunShards so that concurrent
-	// jobs times shards-per-job never oversubscribes the budget.
+	// Workers is the server's core budget (default GOMAXPROCS): the size
+	// of the job pool and the cap on simulations in flight across every
+	// run, sweep, and chaos job at once.
 	Workers int
-	// RunShards is the default intra-run shard count handed to each
-	// simulation (default 1: every core goes to job concurrency, the
-	// pre-budget behaviour). A request may override it per job with the
-	// runtime-only "shards" field, bounded by the budget.
-	RunShards int
 	// MaxRetries bounds re-execution of a failing job before it is
 	// quarantined (default 2; retries only failures and panics, never
 	// deadline cancellations).
@@ -83,9 +78,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.RunShards <= 0 {
-		o.RunShards = 1
 	}
 	if o.MaxRetries < 0 {
 		o.MaxRetries = 0
@@ -221,7 +213,7 @@ func New(opts Options) (*Server, error) {
 		cache:   NewCache(),
 		limiter: newTenantLimiter(opts.TenantRatePerSec, opts.TenantBurst),
 		journal: jnl,
-		budget:  sweep.NewCoreBudget(opts.Workers, opts.RunShards),
+		budget:  sweep.NewCoreBudget(opts.Workers),
 		jobs:    make(map[string]*job),
 		sm:      newServiceMetrics(),
 		log:     opts.Logger,
@@ -283,11 +275,10 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Start launches the worker pool. The pool holds budget.Workers() workers —
-// the core budget divided by the per-run shard default — so concurrent jobs
-// at their default grant exactly fill the budget without blocking on it.
+// Start launches the worker pool: one worker per budget slot, so run jobs
+// alone exactly fill the budget without blocking on it.
 func (s *Server) Start() {
-	for i := 0; i < s.budget.Workers(); i++ {
+	for i := 0; i < s.budget.Total(); i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
@@ -438,14 +429,10 @@ func (s *Server) runJob(j *job) error {
 		cfg.Cancel = probe
 		cfg.OnProgress = j.storeProgress
 		cfg.ProgressEvery = s.opts.ProgressEvery
-		// Take this run's shard grant from the shared core budget: the
-		// request's override when set, the server default otherwise. The
-		// grant is runtime-only — results are bit-identical at any count —
-		// so blocking here for a large override never changes an answer,
-		// only when it arrives.
-		shards := s.budget.Acquire(j.req.Shards)
-		defer s.budget.Release(shards)
-		cfg.Shards = shards
+		// Hold a slot of the shared budget, which sweep and chaos jobs
+		// draw from per simulation too.
+		s.budget.Acquire()
+		defer s.budget.Release()
 		if j.tee != nil {
 			// A retried attempt re-records the same deterministic event
 			// sequence; Reset lets readers holding an offset resume
@@ -549,19 +536,29 @@ func (s *Server) setError(j *job, err error) {
 	j.mu.Unlock()
 }
 
+// persist journals e. The journal is the durability story, so a failed
+// append fails the server closed: it starts draining (submissions and
+// /readyz answer 503) rather than acknowledge state it never persisted.
+func (s *Server) persist(e journalEntry) error {
+	err := s.journal.append(e)
+	if err != nil {
+		s.draining.Store(true)
+		s.log.Error("journal append failed; draining", "job", e.Job, "state", e.State, "error", err.Error())
+	}
+	return err
+}
+
 // transition journals a job state change (fsync'd before the in-memory
-// state flips, write-ahead) and then applies it.
+// state flips, write-ahead) and then applies it. When the journal write
+// fails the job keeps its last persisted state and carries the error.
 func (s *Server) transition(j *job, state string, decorate func(*journalEntry)) {
 	e := journalEntry{Job: j.id, State: state}
 	if decorate != nil {
 		decorate(&e)
 	}
-	if err := s.journal.append(e); err != nil {
-		// The journal is the durability story; losing it mid-flight is
-		// not recoverable in-process. Surface loudly on the job.
-		j.mu.Lock()
-		j.errMsg = err.Error()
-		j.mu.Unlock()
+	if err := s.persist(e); err != nil {
+		s.setError(j, err)
+		return
 	}
 	j.mu.Lock()
 	j.state = state
@@ -617,10 +614,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Shards > s.budget.Total() {
-		http.Error(w, fmt.Sprintf("service: shards %d exceeds core budget %d", req.Shards, s.budget.Total()), http.StatusBadRequest)
-		return
-	}
 	key, err := requestKey(req, cfg)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -643,11 +636,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.state = stateDone
 		j.cacheHit = true
 		j.payload = payload
-		s.registerJob(j)
-		s.journal.append(journalEntry{
+		if err := s.persist(journalEntry{
 			Job: j.id, State: stateDone, Kind: j.kind, Tenant: j.tenant,
 			Key: key, Cached: true, // no payload: the original entry owns it
-		})
+		}); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		s.registerJob(j)
 		s.sm.countTenant("cache_served", req.Tenant)
 		s.log.Info("job served from cache", "job", j.id, "kind", j.kind, "tenant", j.tenant, "key", key)
 		s.respond(w, http.StatusOK, j.status())
@@ -666,15 +662,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.tee = telemetry.NewStreamTee(s.opts.StreamMaxEvents)
 	}
 	j.enqueued = time.Now()
-	s.registerJob(j)
-	s.log.Info("job accepted", "job", j.id, "kind", j.kind, "tenant", j.tenant, "key", key, "stream", req.Stream)
 	// Write-ahead: the submission reaches stable storage before the job
-	// can start, so a crash never leaves a running job the journal has
-	// never heard of.
-	s.journal.append(journalEntry{
+	// is acknowledged or can start, so a crash never leaves a running job
+	// the journal has never heard of.
+	if err := s.persist(journalEntry{
 		Job: j.id, State: stateQueued, Kind: j.kind, Tenant: j.tenant,
 		Key: key, Request: &req,
-	})
+	}); err != nil {
+		s.depth.Add(-1)
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	s.registerJob(j)
+	s.log.Info("job accepted", "job", j.id, "kind", j.kind, "tenant", j.tenant, "key", key, "stream", req.Stream)
 	s.queue <- j
 	s.respond(w, http.StatusAccepted, j.status())
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dftmsn/internal/core"
 	"dftmsn/internal/scenario"
 	"dftmsn/internal/sweep"
 )
@@ -257,6 +258,7 @@ func TestBadRequestsRejected(t *testing.T) {
 	for name, body := range map[string]string{
 		"unknown kind":      `{"kind":"explode"}`,
 		"unknown field":     `{"kind":"run","conf":{}}`,
+		"removed field":     `{"kind":"run","shards":2,"config":{"scheme":"OPT"}}`,
 		"run without cfg":   `{"kind":"run"}`,
 		"bad scheme":        `{"kind":"run","config":{"scheme":"WAT"}}`,
 		"unknown cfg field": `{"kind":"run","config":{"scheme":"OPT","sensor":3}}`,
@@ -427,5 +429,113 @@ func TestInterruptedChaosResumesToIdenticalVerdict(t *testing.T) {
 	}
 	if !bytes.Equal(got.Result, want.Result) {
 		t.Fatalf("resumed campaign verdict differs from uninterrupted:\n%s\n---\n%s", got.Result, want.Result)
+	}
+}
+
+// tinySweep is a four-run sweep small enough for unit tests.
+func tinySweep(sweep.Options) (sweep.Experiment, error) {
+	return sweep.Experiment{
+		Name: "tiny", XLabel: "sinks", Xs: []float64{1, 2}, Runs: 2, BaseSeed: 3,
+		Variants: []sweep.Variant{{
+			Name: "OPT",
+			Build: func(x float64) (scenario.Config, error) {
+				cfg := scenario.DefaultConfig(core.SchemeOPT)
+				cfg.NumSensors, cfg.NumSinks = 6, int(x)
+				cfg.DurationSeconds, cfg.ArrivalMeanSeconds = 120, 30
+				return cfg, nil
+			},
+		}},
+	}, nil
+}
+
+// TestBudgetCapsSimulationsAcrossJobs runs a sweep job next to run jobs on
+// a two-worker server: the sweep's simulations and the run jobs draw from
+// one budget, so no more than two kernels are ever in flight.
+func TestBudgetCapsSimulationsAcrossJobs(t *testing.T) {
+	experiments["tiny-test"] = tinySweep
+	defer delete(experiments, "tiny-test")
+
+	s, ts := newTestServer(t, Options{Workers: 2})
+	var ids []string
+	code, st := submit(t, ts, `{"kind":"sweep","sweep":{"experiment":"tiny-test"}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep submit = %d", code)
+	}
+	ids = append(ids, st.ID)
+	for seed := uint64(1); seed <= 3; seed++ {
+		code, st := submit(t, ts, tinyRunBody(seed))
+		if code != http.StatusAccepted {
+			t.Fatalf("run submit = %d", code)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		if final := awaitTerminal(t, ts, id); final.State != stateDone {
+			t.Fatalf("job %s ended %s: %s", id, final.State, final.Error)
+		}
+	}
+	if total, peak := s.budget.Total(), s.budget.Peak(); total != 2 || peak < 1 || peak > total {
+		t.Fatalf("budget total %d peak %d, want peak within [1, 2]", total, peak)
+	}
+}
+
+// TestJournalFailureFailsClosed breaks the journal under a live server: a
+// job whose transitions can no longer be persisted must keep its last
+// persisted state and carry the error, and the server must stop admitting
+// work rather than acknowledge state it never wrote.
+func TestJournalFailureFailsClosed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	s, err := New(Options{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Shutdown(0)
+	})
+	code, st := submit(t, ts, tinyRunBody(11))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", code)
+	}
+
+	// The submission is on disk; every later write fails.
+	s.journal.mu.Lock()
+	s.journal.f.Close()
+	s.journal.mu.Unlock()
+	s.Start()
+
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	deadline := time.Now().Add(30 * time.Second)
+	for s.running.Load() != 0 || s.depth.Load() != 0 || j.status().Error == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("job never settled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	got := j.status()
+	if got.State != stateQueued || !strings.Contains(got.Error, "journal") {
+		t.Fatalf("job state %q error %q, want queued with a journal error", got.State, got.Error)
+	}
+	replayed, err := replayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != 1 || replayed[0].State != got.State {
+		t.Fatalf("journal holds %+v, want the one job at the state clients see (%s)", replayed, got.State)
+	}
+
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz = %d, want 503", resp.StatusCode)
+	}
+	if code, _ := submit(t, ts, tinyRunBody(12)); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit after journal failure = %d, want 503", code)
 	}
 }

@@ -56,17 +56,7 @@ type Event struct {
 	index    int // position in the heap, -1 once fired or cancelled
 	labels   string
 	poolable bool // true for Post/PostArg events: recycled after firing
-	owner    any  // opaque owner tag for batch prep (see SetBatchPrep)
 }
-
-// SetOwner attaches an opaque owner tag to the event. The scheduler never
-// interprets it; a batch-prep callback uses it to map an event back to the
-// component whose state the prep pass should precompute. The tag survives
-// Reschedule/RescheduleAt reuse of handle events.
-func (e *Event) SetOwner(v any) { e.owner = v }
-
-// Owner returns the tag attached by SetOwner, or nil.
-func (e *Event) Owner() any { return e.owner }
 
 // At returns the virtual time this event is scheduled to fire at.
 func (e *Event) At() Time { return e.at }
@@ -133,15 +123,6 @@ type Scheduler struct {
 	cancel          func() bool // cooperative cancellation probe (see SetCancel)
 	probe           func()      // progress probe sharing the cancel stride (see SetProbe)
 	cancelCountdown int         // events until the next probe call
-
-	// Batch prep (see SetBatchPrep): when the head of the queue carries
-	// batchLabel, Run pops the whole consecutive run of same-labeled head
-	// events, hands it to batchPrep once, and then fires the events one by
-	// one under the exact sequential discipline.
-	batchLabel string
-	batchPrep  func(batch []*Event)
-	batchFlush func(dropped []*Event)
-	batchBuf   []*Event
 }
 
 // CancelStride is how many events fire between calls to the cancellation
@@ -289,7 +270,6 @@ func (s *Scheduler) release(e *Event) {
 	e.fnArg = nil
 	e.arg = nil
 	e.labels = ""
-	e.owner = nil
 	e.index = -1
 	s.free = append(s.free, e)
 }
@@ -600,84 +580,6 @@ func (s *Scheduler) dispatch(e *Event) {
 	}
 }
 
-// SetBatchPrep arms batch prefetching for events scheduled under label:
-// when Run finds such an event at the head of the queue, it pops the whole
-// consecutive run of same-labeled head events due by the horizon and calls
-// prep with the batch before firing any of them. prep may fan read-only
-// precomputation out across worker goroutines (keyed by each event's Owner
-// tag), but must not touch the scheduler; the events then fire one by one on
-// the kernel goroutine under the exact sequential discipline — same clock
-// advance, same fired count, same stop/cancel probe cadence, and a pushed
-// back remainder whenever a fired callback schedules something that must
-// fire in between. flush is called with any popped-but-unfired remainder
-// that is pushed back, so prep scratch tied to those events can be dropped
-// (a foreign event may invalidate it before they fire). The callbacks of
-// batch events must not Cancel or Reschedule *other* events under the same
-// label: a popped event is already out of the queue, so such a cancellation
-// would be a silent no-op where the sequential kernel would honour it.
-// A nil prep disarms batching.
-func (s *Scheduler) SetBatchPrep(label string, prep func(batch []*Event), flush func(dropped []*Event)) {
-	if prep == nil {
-		s.batchLabel, s.batchPrep, s.batchFlush = "", nil, nil
-		return
-	}
-	s.batchLabel, s.batchPrep, s.batchFlush = label, prep, flush
-}
-
-// stepBatch pops and fires the maximal run of consecutive batch-labeled
-// head events due by horizon. The caller (Run) has already performed this
-// iteration's stopped/Cancelled checks, which cover the first event; each
-// subsequent event gets exactly one pair of checks of its own, keeping the
-// probe-call cadence bit-identical to the sequential loop.
-func (s *Scheduler) stepBatch(horizon Time) error {
-	batch := s.batchBuf[:0]
-	for len(s.queue) > 0 && s.queue[0].labels == s.batchLabel && s.queue[0].at <= horizon {
-		batch = append(batch, s.queue.popMin())
-	}
-	s.batchBuf = batch[:0] // keep the capacity for the next batch
-	if len(batch) > 1 {
-		s.batchPrep(batch)
-	}
-	for i, e := range batch {
-		if i > 0 {
-			if s.stopped {
-				s.pushBack(batch[i:])
-				return ErrStopped
-			}
-			if s.Cancelled() {
-				s.pushBack(batch[i:])
-				return ErrCancelled
-			}
-			// A previously fired callback scheduled an event that must fire
-			// before the rest of the batch: return the remainder to the heap
-			// (original at/seq, so ordering is preserved) and let the main
-			// loop interleave.
-			if len(s.queue) > 0 && before(s.queue[0], e) {
-				s.pushBack(batch[i:])
-				return nil
-			}
-		}
-		s.now = e.at
-		s.fired++
-		s.dispatch(e)
-		if e.poolable {
-			s.release(e)
-		}
-	}
-	return nil
-}
-
-// pushBack returns popped-but-unfired batch events to the heap and tells the
-// flush callback their prep scratch is no longer trustworthy.
-func (s *Scheduler) pushBack(evs []*Event) {
-	for _, e := range evs {
-		s.queue.push(e)
-	}
-	if s.batchFlush != nil {
-		s.batchFlush(evs)
-	}
-}
-
 // Run executes events in order until the queue drains, the clock would pass
 // horizon, or Stop is called. The clock is left at min(horizon, last event
 // time). It returns ErrStopped if halted by Stop, nil otherwise.
@@ -693,12 +595,6 @@ func (s *Scheduler) Run(horizon Time) error {
 		next := s.queue[0].at
 		if next > horizon {
 			break
-		}
-		if s.batchPrep != nil && s.queue[0].labels == s.batchLabel {
-			if err := s.stepBatch(horizon); err != nil {
-				return err
-			}
-			continue
 		}
 		s.Step()
 	}

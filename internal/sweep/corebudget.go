@@ -1,108 +1,56 @@
 package sweep
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 )
 
-// CoreBudget splits a fixed core budget between concurrent simulation runs
-// and each run's intra-run shards — e.g. 16 cores as 4 runs × 4 shards —
-// replacing the either/or of "all cores to the sweep pool" versus "all
-// cores to one kernel's ShardPool". It is a counting token pool: every run
-// Acquires its shard count before building its kernel and Releases it
-// after, so the sum of live shards never exceeds the budget no matter how
-// many sweeps, campaigns, or service jobs share it. Acquisition order never
-// affects results — Config.Shards is runtime-only and every shard count is
-// bit-identical — so the pool needs no fairness guarantees beyond not
-// starving (Release wakes all waiters).
+// CoreBudget caps how many simulations run at once across every pool that
+// shares it — a server's run, sweep, and chaos jobs all draw from one
+// budget — at one slot per run. Each run Acquires a slot before building
+// its kernel and Releases it after, so no mix of concurrent sweeps,
+// campaigns, or service jobs ever has more than Total() kernels in flight.
+// Acquisition order never affects results (every run is independent and
+// deterministic), so the budget needs no fairness guarantees beyond not
+// starving: a Release wakes one waiter.
 type CoreBudget struct {
-	total     int
-	runShards int
+	slots chan struct{} // one buffered token per run in flight
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	inUse int
-	peak  int
+	mu   sync.Mutex
+	peak int
 }
 
-// NewCoreBudget creates a budget of total cores handing out runShards cores
-// per run. total <= 0 means GOMAXPROCS; runShards is clamped to [1, total].
-func NewCoreBudget(total, runShards int) *CoreBudget {
+// NewCoreBudget creates a budget of total run slots; total <= 0 means
+// GOMAXPROCS.
+func NewCoreBudget(total int) *CoreBudget {
 	if total <= 0 {
 		total = runtime.GOMAXPROCS(0)
 	}
-	if runShards < 1 {
-		runShards = 1
-	}
-	if runShards > total {
-		runShards = total
-	}
-	b := &CoreBudget{total: total, runShards: runShards}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	return &CoreBudget{slots: make(chan struct{}, total)}
 }
 
-// Total returns the budget's core count.
-func (b *CoreBudget) Total() int { return b.total }
+// Total returns the budget's slot count.
+func (b *CoreBudget) Total() int { return cap(b.slots) }
 
-// RunShards returns the default shard count handed to each run.
-func (b *CoreBudget) RunShards() int { return b.runShards }
-
-// Workers returns how many runs can hold their default grant concurrently —
-// the worker-pool size a sweep or service should use with this budget.
-// Workers() × RunShards() <= Total(), so a pool of this size never blocks on
-// default grants and never oversubscribes.
-func (b *CoreBudget) Workers() int {
-	w := b.total / b.runShards
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Acquire blocks until n cores are free and takes them, returning the grant
-// — the Config.Shards value the run should use. n <= 0 asks for the per-run
-// default; n larger than the budget is clamped to it (a single run may use
-// the whole machine, never more).
-func (b *CoreBudget) Acquire(n int) int {
-	if n <= 0 {
-		n = b.runShards
-	}
-	if n > b.total {
-		n = b.total
-	}
+// Acquire blocks until a slot is free and takes it.
+func (b *CoreBudget) Acquire() {
+	b.slots <- struct{}{}
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.inUse+n > b.total {
-		b.cond.Wait()
-	}
-	b.inUse += n
-	if b.inUse > b.peak {
-		b.peak = b.inUse
-	}
-	return n
+	b.peak = max(b.peak, len(b.slots))
+	b.mu.Unlock()
 }
 
-// Release returns a grant taken by Acquire.
-func (b *CoreBudget) Release(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.inUse -= n
-	if b.inUse < 0 {
-		panic(fmt.Sprintf("sweep: CoreBudget over-released (%d cores in use)", b.inUse))
+// Release returns a slot taken by Acquire. Releasing more than was
+// acquired is a loud bug, not silent capacity inflation.
+func (b *CoreBudget) Release() {
+	select {
+	case <-b.slots:
+	default:
+		panic("sweep: CoreBudget over-released")
 	}
-	b.cond.Broadcast()
 }
 
-// InUse returns the cores currently held. For accounting assertions.
-func (b *CoreBudget) InUse() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.inUse
-}
-
-// Peak returns the high-water mark of cores held at once. A test that
+// Peak returns the high-water mark of slots held at once. A test that
 // drives a budget through a full sweep asserts Peak() <= Total() — the
 // no-oversubscription pin.
 func (b *CoreBudget) Peak() int {

@@ -8,58 +8,39 @@ import (
 )
 
 func TestCoreBudgetAccounting(t *testing.T) {
-	b := NewCoreBudget(16, 4)
-	if b.Total() != 16 || b.RunShards() != 4 || b.Workers() != 4 {
-		t.Fatalf("16/4 budget: total %d shards %d workers %d, want 16/4/4", b.Total(), b.RunShards(), b.Workers())
+	if d := NewCoreBudget(0); d.Total() < 1 {
+		t.Fatalf("zero-value budget: total %d", d.Total())
 	}
-	// Defaults and clamps.
-	if d := NewCoreBudget(0, 0); d.Total() < 1 || d.RunShards() != 1 {
-		t.Fatalf("zero-value budget: total %d shards %d", d.Total(), d.RunShards())
+	b := NewCoreBudget(2)
+	if b.Total() != 2 {
+		t.Fatalf("Total = %d, want 2", b.Total())
 	}
-	if c := NewCoreBudget(4, 99); c.RunShards() != 4 {
-		t.Fatalf("oversized runShards not clamped: %d", c.RunShards())
-	}
-	if c := NewCoreBudget(3, 2); c.Workers() != 1 {
-		t.Fatalf("3/2 budget workers %d, want 1", c.Workers())
-	}
+	b.Acquire()
+	b.Acquire()
 
-	// The default grant is RunShards; explicit asks clamp to the total.
-	if got := b.Acquire(0); got != 4 {
-		t.Fatalf("Acquire(0) = %d, want default grant 4", got)
-	}
-	b.Release(4)
-	if got := b.Acquire(99); got != 16 {
-		t.Fatalf("Acquire(99) = %d, want total clamp 16", got)
-	}
-	if b.InUse() != 16 {
-		t.Fatalf("InUse = %d, want 16", b.InUse())
-	}
-
-	// Full budget: a further Acquire must block until a Release frees room.
-	got := make(chan int, 1)
-	go func() { got <- b.Acquire(1) }()
+	// Full budget: a further Acquire must block until a Release frees a slot.
+	got := make(chan struct{})
+	go func() {
+		b.Acquire()
+		close(got)
+	}()
 	select {
-	case g := <-got:
-		t.Fatalf("Acquire(1) returned %d from a full budget", g)
+	case <-got:
+		t.Fatal("Acquire returned from a full budget")
 	case <-time.After(50 * time.Millisecond):
 	}
-	b.Release(4)
+	b.Release()
 	select {
-	case g := <-got:
-		if g != 1 {
-			t.Fatalf("unblocked Acquire(1) = %d", g)
-		}
+	case <-got:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Acquire(1) still blocked after Release")
+		t.Fatal("Acquire still blocked after Release")
 	}
-	b.Release(12) // the rest of the Acquire(99) grant
-	b.Release(1)  // the unblocked goroutine's grant
-	if b.InUse() != 0 {
-		t.Fatalf("InUse = %d after releasing everything, want 0", b.InUse())
+	b.Release()
+	b.Release()
+	if b.Peak() != 2 {
+		t.Fatalf("Peak = %d, want 2", b.Peak())
 	}
-	if b.Peak() != 16 {
-		t.Fatalf("Peak = %d, want 16", b.Peak())
-	}
+	assertDrained(t, b)
 
 	// Over-release is a loud bug, not silent capacity inflation.
 	func() {
@@ -68,23 +49,43 @@ func TestCoreBudgetAccounting(t *testing.T) {
 				t.Fatal("over-release did not panic")
 			}
 		}()
-		b.Release(1)
+		b.Release()
 	}()
 }
 
+// assertDrained fails unless every slot of b is free: it takes all of them
+// without blocking, then hands them back.
+func assertDrained(t *testing.T, b *CoreBudget) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		for i := 0; i < b.Total(); i++ {
+			b.Acquire()
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("budget leaked: slots still held")
+	}
+	for i := 0; i < b.Total(); i++ {
+		b.Release()
+	}
+}
+
 // TestCoreBudgetExperimentDifferential is the CoreBudget acceptance pin: a
-// sweep run under a 16-core budget at 4 runs × 4 shards must produce
-// bit-identical per-point results to the plain sequential sweep, and the
-// pool accounting must show the budget was never oversubscribed and fully
-// returned.
+// sweep run under a 2-slot budget must produce bit-identical per-point
+// results to the plain sequential sweep, and the budget must show it was
+// never oversubscribed and fully returned.
 func TestCoreBudgetExperimentDifferential(t *testing.T) {
 	seq, err := tinyExperiment().Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := tinyExperiment()
-	e.Budget = NewCoreBudget(16, 4)
-	bud, err := e.Run(0) // 0 workers: sized from the budget (16/4 = 4)
+	e.Budget = NewCoreBudget(2)
+	bud, err := e.Run(0) // 0 workers: sized from the budget
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +100,10 @@ func TestCoreBudgetExperimentDifferential(t *testing.T) {
 	if !bytes.Equal(mustCanon(t, sj), mustCanon(t, bj)) {
 		t.Fatalf("budgeted sweep diverged from sequential:\nseq: %s\nbud: %s", sj, bj)
 	}
-	if got := e.Budget.Peak(); got > 16 {
-		t.Fatalf("budget oversubscribed: peak %d > 16", got)
+	if got := e.Budget.Peak(); got > e.Budget.Total() || got < 1 {
+		t.Fatalf("budget peak %d, want within [1, %d]", got, e.Budget.Total())
 	}
-	if got := e.Budget.Peak(); got < 4 {
-		t.Fatalf("budget never acquired a full grant: peak %d", got)
-	}
-	if got := e.Budget.InUse(); got != 0 {
-		t.Fatalf("budget leaked: %d cores still held", got)
-	}
+	assertDrained(t, e.Budget)
 }
 
 // mustCanon re-marshals JSON so formatting differences can't mask or fake a

@@ -58,12 +58,11 @@ type Experiment struct {
 	// wrapping sim.ErrCancelled. Runtime-only; it never perturbs the
 	// events completed runs fired.
 	Cancel func() bool
-	// Budget optionally splits cores between concurrent runs and per-run
-	// shards: Run(0) sizes its worker pool at Budget.Workers(), and each
-	// run Acquires its shard grant before building the kernel and sets
-	// Config.Shards to it. Runtime-only, like Cancel: a budgeted sweep's
-	// per-point Results are bit-identical to a sequential one's — every
-	// shard count is — so the budget only decides where the cores go.
+	// Budget optionally caps the simulations in flight across every pool
+	// sharing it: Run(0) sizes its worker pool at Budget.Total(), and each
+	// run holds one slot while its kernel is built and run. Runtime-only,
+	// like Cancel: a budgeted sweep's per-point Results are bit-identical
+	// to a sequential one's, so the budget only decides when runs start.
 	Budget *CoreBudget
 }
 
@@ -388,7 +387,7 @@ func (e Experiment) Run(workers int) (*Table, error) {
 		}
 	}
 	if e.Budget != nil && workers <= 0 {
-		workers = e.Budget.Workers()
+		workers = e.Budget.Total()
 	}
 	results := make([]scenario.Result, len(flat))
 	err := Parallel(len(flat), workers, func(i int) (err error) {
@@ -421,9 +420,8 @@ func (e Experiment) Run(workers int) (*Table, error) {
 		}
 		cfg.Cancel = e.Cancel
 		if e.Budget != nil {
-			shards := e.Budget.Acquire(0)
-			defer e.Budget.Release(shards)
-			cfg.Shards = shards
+			e.Budget.Acquire()
+			defer e.Budget.Release()
 		}
 		s, err := scenario.New(cfg)
 		if err != nil {
