@@ -94,16 +94,12 @@ chaos:
 	$(GO) run ./cmd/dftchaos -runs $(CHAOS_RUNS)
 
 fuzz:
-	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/packet/
-	$(GO) test -fuzz=FuzzStreamReader -fuzztime=30s ./internal/packet/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/snapshot/
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=30s ./internal/service/
 	$(GO) test -fuzz=FuzzSSEDecode -fuzztime=30s ./internal/telemetry/
 
 # A quick fuzz pass over every fuzz target (what CI's smoke job runs).
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/packet/
-	$(GO) test -fuzz=FuzzStreamReader -fuzztime=10s ./internal/packet/
 	$(GO) test -fuzz=FuzzLoadConfig -fuzztime=10s ./internal/scenario/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/snapshot/
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s ./internal/service/

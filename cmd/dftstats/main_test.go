@@ -112,9 +112,69 @@ func TestCustodyChains(t *testing.T) {
 
 func itoa(v uint64) string { return strconv.FormatUint(v, 10) }
 
-// TestOverviewAndNodes checks the default and -nodes outputs against the
-// decoded event stream, for both encodings.
+// fixtureEvents is a small deterministic trace-v2 stream: one delivered
+// message, one dropped message, and a sleep.
+func fixtureEvents() []telemetry.Event {
+	return []telemetry.Event{
+		{Time: 0.5, Node: 3, Type: telemetry.EvGen, Msg: 1},
+		{Time: 0.7, Node: 4, Type: telemetry.EvGen, Msg: 2},
+		{Time: 1.0, Node: 3, Type: telemetry.EvTx, Msg: 1, Count: 1},
+		{Time: 1.2, Node: 4, Type: telemetry.EvRx, Msg: 1, Peer: 3, FTD: 0.25, Kept: true},
+		{Time: 2.0, Node: 0, Type: telemetry.EvDeliver, Msg: 1, Value: 1.5, Count: 2},
+		{Time: 2.5, Node: 4, Type: telemetry.EvDrop, Msg: 2, FTD: 0.9, Aux: telemetry.DropThreshold},
+		{Time: 3.0, Node: 5, Type: telemetry.EvSleep, Value: 2.0},
+	}
+}
+
+// fixtureOverview is the exact overview of fixtureEvents: the event total,
+// one count line per type present, and the message fates.
+const fixtureOverview = `7 events over [0.500, 3.000] s
+  gen          2
+  tx           1
+  rx           1
+  drop         1
+  deliver      1
+  sleep        1
+messages: 2 tracked, 1 delivered, 1 dropped, 0 rejected, 0 in-flight
+`
+
+// readGolden pins the overview's count and message-fate lines on a fixed
+// event stream, for both encodings.
+func readGolden(t *testing.T) {
+	for _, format := range []telemetry.Format{telemetry.FormatJSONL, telemetry.FormatBinary} {
+		path := filepath.Join(t.TempDir(), "fixture."+string(format))
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := telemetry.NewWriter(f, format, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range fixtureEvents() {
+			w.Record(ev)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := run([]string{path}, &sb); err != nil {
+			t.Fatal(err)
+		}
+		if got := sb.String(); !strings.HasPrefix(got, fixtureOverview) {
+			t.Errorf("%s fixture overview drifted\n--- got ---\n%s--- want prefix ---\n%s", format, got, fixtureOverview)
+		}
+	}
+}
+
+// TestOverviewAndNodes pins the overview of a fixed event stream exactly,
+// then checks the default and -nodes outputs against a simulated run's
+// decoded events, for both encodings.
 func TestOverviewAndNodes(t *testing.T) {
+	t.Run("ReadGolden", readGolden)
 	for _, format := range []telemetry.Format{telemetry.FormatJSONL, telemetry.FormatBinary} {
 		path, events := makeTrace(t, format)
 		var delivers int

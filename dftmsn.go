@@ -216,7 +216,7 @@ func LoadSnapshot(path string) (*Snapshot, error) { return snapshot.Load(path) }
 
 // RestoreSim rebuilds a simulation from a snapshot; running it to the
 // horizon is bit-identical to the run the snapshot was taken from. The
-// customize hooks may reattach runtime-only config (recorders, tracers)
+// customize hooks may reattach runtime-only config (recorders, probes)
 // the snapshot cannot carry.
 func RestoreSim(snap *Snapshot, customize ...func(*Config)) (*Sim, error) {
 	return scenario.Restore(snap, customize...)

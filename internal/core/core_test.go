@@ -346,6 +346,10 @@ func TestBatteryExhaustionKillsNode(t *testing.T) {
 	if !net.sink.Alive() {
 		t.Fatal("unlimited-budget sink died")
 	}
+	// Battery death is down for good: there was no crash to recover from.
+	if err := net.sensor.Recover(false); err == nil {
+		t.Fatal("Recover of a battery-dead node accepted")
+	}
 }
 
 func TestKillMidCycleAbortsEngine(t *testing.T) {
@@ -357,9 +361,10 @@ func TestKillMidCycleAbortsEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.sensor.Generate(500, 1000)
-	// Kill at an arbitrary instant: whatever phase the engine is in, the
-	// node must end up dead with the engine idle and no further events.
-	net.sched.After(2.345, net.sensor.Kill)
+	// Kill (a crash that never recovers) at an arbitrary instant: whatever
+	// phase the engine is in, the node must end up dead with the engine
+	// idle and no further events.
+	net.sched.After(2.345, func() { net.sensor.Crash(true) })
 	if err := net.sched.Run(30); err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +381,10 @@ func TestKillMidCycleAbortsEngine(t *testing.T) {
 	if net.sensor.Engine().Stats().Cycles != cycles {
 		t.Fatal("dead node kept cycling")
 	}
-	// Kill is idempotent and Generate on a dead node is harmless.
-	net.sensor.Kill()
+	// A second crash is a no-op and Generate on a dead node is harmless.
+	if lost := net.sensor.Crash(true); lost != nil {
+		t.Fatalf("Crash of a dead node wiped %v", lost)
+	}
 	net.sensor.Generate(501, 1000)
 }
 
@@ -467,17 +474,13 @@ func TestRecoverGuards(t *testing.T) {
 	if err := net.sensor.Recover(false); err == nil {
 		t.Fatal("Recover of a live node accepted")
 	}
-	// Killed (not crashed) nodes are down for good.
-	net.sensor.Kill()
-	if err := net.sensor.Recover(false); err == nil {
-		t.Fatal("Recover of a killed node accepted")
-	}
-	// Crash on an already-dead node is a no-op.
+	// Crash on an already-crashed node is a no-op.
+	net.sensor.Crash(true)
 	if lost := net.sensor.Crash(true); lost != nil {
 		t.Fatalf("Crash of a dead node wiped %v", lost)
 	}
-	if net.sensor.Stats().Crashes != 0 {
-		t.Fatal("Crash of a dead node counted")
+	if got := net.sensor.Stats().Crashes; got != 1 {
+		t.Fatalf("Crash of a dead node counted: %d crashes", got)
 	}
 }
 

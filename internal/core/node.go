@@ -156,7 +156,7 @@ type Node struct {
 	stats   NodeStats
 	started bool
 	stopped bool
-	crashed bool // down by Crash (recoverable), not battery or Kill
+	crashed bool // down by Crash (recoverable), not battery death
 
 	// Event elision: when elide is set, provably idle listen-only cycles
 	// coalesce into a single plan-end event (see planIdleSpan).
@@ -413,7 +413,7 @@ func (n *Node) startCycle() {
 // materializes the plan before becoming observable: a frame starting in
 // range (radio pre-capture hook), mobility carrying the node into an
 // in-flight frame's carrier range (PollCarrier after mobility steps),
-// traffic insertion (Generate), and fault injection (Stop/Kill/Crash).
+// traffic insertion (Generate), and fault injection (Stop/Crash).
 //
 // The τ values for all planned cycles are drawn up front, in cycle order,
 // from the same stream with the same σ arguments the eager arm would use
@@ -590,31 +590,15 @@ func (n *Node) FinalizeElision(horizon float64) {
 }
 
 // Alive reports whether the node's battery (if bounded) still has charge
-// and the node was not killed.
+// and the node is not crashed.
 func (n *Node) Alive() bool { return n.stats.DiedAt < 0 }
 
-// Kill fails the node immediately: the current cycle is abandoned, all
-// timers stop, and the radio goes dark for good. Used for fault-injection
-// experiments; the queue contents are lost with the node, exactly the
-// fault the paper's message redundancy is designed to tolerate.
-func (n *Node) Kill() {
-	if !n.Alive() {
-		return
-	}
-	now := n.sched.Now()
-	n.materialize(now)
-	n.stats.DiedAt = now
-	n.stopped = true
-	n.decayStop()
-	n.engine.Abort()
-	n.radio.Kill()
-	n.rec.Record(telemetry.Event{Time: now, Node: n.id, Type: telemetry.EvKill})
-}
-
-// Crash takes the node down like Kill, but recoverably: a later Recover
-// reboots it. wipeQueue destroys the queued message copies (the crash took
-// RAM with it) and returns their IDs; with wipeQueue false the buffer
-// survives the reboot (copies kept in flash).
+// Crash fails the node immediately: the current cycle is abandoned, all
+// timers stop, and the radio goes dark. A later Recover reboots it; fault
+// injection's permanent kills are crashes that never recover. wipeQueue
+// destroys the queued message copies (the crash took RAM with it) and
+// returns their IDs; with wipeQueue false the buffer survives the reboot
+// (copies kept in flash).
 func (n *Node) Crash(wipeQueue bool) []packet.MessageID {
 	if !n.Alive() {
 		return nil
@@ -639,13 +623,13 @@ func (n *Node) Crash(wipeQueue bool) []packet.MessageID {
 // Recover reboots a crashed node: the radio powers back up and the
 // working-cycle loop resumes. resetRouting clears learned soft state (ξ,
 // history) as a cold boot would. It fails for nodes that are alive, died
-// for good (battery, Kill), or whose battery cannot sustain a reboot.
+// for good (battery), or whose battery cannot sustain a reboot.
 func (n *Node) Recover(resetRouting bool) error {
 	if n.Alive() {
 		return errors.New("core: recover of a live node")
 	}
 	if !n.crashed {
-		return errors.New("core: node is down for good (battery or kill)")
+		return errors.New("core: node is down for good (battery)")
 	}
 	now := n.sched.Now()
 	if n.params.BatteryJoules > 0 && n.radio.Meter().TotalJoules(now) >= n.params.BatteryJoules {

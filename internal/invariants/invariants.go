@@ -3,8 +3,8 @@
 // paper's conservation properties after every kernel event, while the
 // fault injector (internal/faults) is doing its worst.
 //
-// The engine complements the offline trace verifier (trace.Verify): the
-// trace rules see only the coarse node lifecycle, whereas the engine reads
+// The engine complements the offline event-log verifier (telemetry.Verify):
+// those rules see only the coarse node lifecycle, whereas the engine reads
 // the live protocol state — delivery probabilities, queue contents, MAC
 // phases — and recomputes the paper's formulas independently, so a breach
 // is caught at the event that introduced it, with virtual-time context.

@@ -1,5 +1,5 @@
 // Package packet defines the frames exchanged by the DFT-MSN cross-layer
-// protocol and their wire encoding.
+// protocol.
 //
 // The protocol (paper §3.2, Fig. 1) uses six frame kinds:
 //
@@ -12,9 +12,8 @@
 //	ACK       - per-receiver acknowledgement in its assigned slot
 //
 // On the air, every control frame costs ControlBits (the paper's 50 bits)
-// and every data frame costs DataBits (1000 bits); the wire codec in this
-// package is a faithful byte encoding used by tools and traces, while the
-// simulator charges air time from Sizes.
+// and every data frame costs DataBits (1000 bits): the simulator passes
+// Frame values in memory and charges air time from Sizes.
 package packet
 
 import (

@@ -1,11 +1,8 @@
 package packet
 
 import (
-	"errors"
 	"math"
-	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestKindString(t *testing.T) {
@@ -117,146 +114,5 @@ func TestValidate(t *testing.T) {
 		if err := Validate(f); err == nil {
 			t.Errorf("Validate accepted invalid %v %+v", f.Kind(), f)
 		}
-	}
-}
-
-func roundTrip(t *testing.T, f Frame) Frame {
-	t.Helper()
-	b, err := Marshal(f)
-	if err != nil {
-		t.Fatalf("Marshal(%v): %v", f.Kind(), err)
-	}
-	got, err := Unmarshal(b)
-	if err != nil {
-		t.Fatalf("Unmarshal(%v): %v", f.Kind(), err)
-	}
-	return got
-}
-
-func TestCodecRoundTripAllKinds(t *testing.T) {
-	frames := []Frame{
-		&Preamble{From: 12},
-		&RTS{From: 1, Xi: 0.25, FTD: 0.75, Window: 9, History: 0.3},
-		&CTS{From: 2, To: 1, Xi: 0.9, BufferAvail: 42, History: 0.1},
-		&Schedule{From: 3, Entries: []ScheduleEntry{{Node: 4, FTD: 0.1}, {Node: 5, FTD: 0.9}}},
-		&Schedule{From: 3, Entries: nil},
-		&Data{From: 6, ID: 777, Origin: 2, CreatedAt: 123.5, PayloadBits: 1000, Hops: 3},
-		&Ack{From: 7, To: 6, ID: 777},
-	}
-	for _, f := range frames {
-		got := roundTrip(t, f)
-		// Normalise empty vs nil schedule entries for comparison.
-		if s, ok := got.(*Schedule); ok && len(s.Entries) == 0 {
-			s.Entries = nil
-		}
-		if !reflect.DeepEqual(got, f) {
-			t.Errorf("round trip %v:\n got %+v\nwant %+v", f.Kind(), got, f)
-		}
-	}
-}
-
-func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := Unmarshal(nil); !errors.Is(err, ErrShortBuffer) {
-		t.Errorf("nil buffer: %v, want ErrShortBuffer", err)
-	}
-	if _, err := Unmarshal([]byte{0xFF, 1, 2}); !errors.Is(err, ErrBadKind) {
-		t.Errorf("bad kind: %v, want ErrBadKind", err)
-	}
-	// Truncated RTS.
-	full, err := Marshal(&RTS{From: 1, Xi: 0.5, FTD: 0.5, Window: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 1; cut < len(full); cut++ {
-		if _, err := Unmarshal(full[:cut]); !errors.Is(err, ErrShortBuffer) {
-			t.Fatalf("truncated at %d: err = %v, want ErrShortBuffer", cut, err)
-		}
-	}
-	// Trailing bytes.
-	if _, err := Unmarshal(append(full, 0)); !errors.Is(err, ErrTrailing) {
-		t.Errorf("trailing byte: %v, want ErrTrailing", err)
-	}
-}
-
-func TestMarshalRejectsOutOfRange(t *testing.T) {
-	if _, err := Marshal(&RTS{From: 1, Window: math.MaxUint16 + 1}); err == nil {
-		t.Error("oversized window accepted")
-	}
-	if _, err := Marshal(&RTS{From: 1, Window: -1}); err == nil {
-		t.Error("negative window accepted")
-	}
-	if _, err := Marshal(&CTS{From: 1, BufferAvail: -1}); err == nil {
-		t.Error("negative buffer accepted")
-	}
-	if _, err := Marshal(&Data{From: 1, PayloadBits: -1}); err == nil {
-		t.Error("negative payload accepted")
-	}
-	if _, err := Marshal(&Data{From: 1, Hops: -1}); err == nil {
-		t.Error("negative hops accepted")
-	}
-	if _, err := Marshal(nil); err == nil {
-		t.Error("nil frame accepted")
-	}
-}
-
-// Property: RTS and CTS round-trip for arbitrary field values in range.
-func TestPropertyRTSCTSRoundTrip(t *testing.T) {
-	f := func(from int32, xi, ftd float64, window uint16, to int32, buf uint16) bool {
-		clamp := func(v float64) float64 {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0.5
-			}
-			return math.Mod(math.Abs(v), 1)
-		}
-		rts := &RTS{From: NodeID(from), Xi: clamp(xi), FTD: clamp(ftd), Window: int(window)}
-		b, err := Marshal(rts)
-		if err != nil {
-			return false
-		}
-		back, err := Unmarshal(b)
-		if err != nil || !reflect.DeepEqual(back, rts) {
-			return false
-		}
-		cts := &CTS{From: NodeID(to), To: NodeID(from), Xi: clamp(xi), BufferAvail: int(buf)}
-		b, err = Marshal(cts)
-		if err != nil {
-			return false
-		}
-		back, err = Unmarshal(b)
-		return err == nil && reflect.DeepEqual(back, cts)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: schedules of arbitrary size round-trip with order preserved.
-func TestPropertyScheduleRoundTrip(t *testing.T) {
-	f := func(from int32, nodes []int32) bool {
-		s := &Schedule{From: NodeID(from)}
-		for i, n := range nodes {
-			s.Entries = append(s.Entries, ScheduleEntry{Node: NodeID(n), FTD: float64(i%100) / 100})
-		}
-		b, err := Marshal(s)
-		if err != nil {
-			return false
-		}
-		back, err := Unmarshal(b)
-		if err != nil {
-			return false
-		}
-		bs, ok := back.(*Schedule)
-		if !ok || bs.From != s.From || len(bs.Entries) != len(s.Entries) {
-			return false
-		}
-		for i := range s.Entries {
-			if bs.Entries[i] != s.Entries[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

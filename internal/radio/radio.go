@@ -187,7 +187,6 @@ type Medium struct {
 	burstBad bool
 	burstEv  *sim.Event // retained flip handle; reused across flips
 	flipFn   func()     // bound once; scheduleBurstFlip reuses it
-	frameLog func(now float64, src packet.NodeID, f packet.Frame)
 }
 
 // transmission is one frame in flight. Objects are pooled by the medium:
@@ -236,13 +235,6 @@ func NewMedium(sched *sim.Scheduler, cfg Config) (*Medium, error) {
 
 // Config returns the medium configuration.
 func (m *Medium) Config() Config { return m.cfg }
-
-// SetFrameLog registers a callback invoked at the start of every
-// transmission with the virtual time, source, and frame — the hook behind
-// frame capture files. A nil callback disables logging.
-func (m *Medium) SetFrameLog(fn func(now float64, src packet.NodeID, f packet.Frame)) {
-	m.frameLog = fn
-}
 
 // SetLoss enables an independent per-reception corruption process with the
 // given probability — a simple model of fading, interference and checksum
@@ -435,9 +427,6 @@ func (m *Medium) transmit(r *Radio, f packet.Frame) {
 	if m.index != nil {
 		tx.cellKey = m.index.cellKeyFor(tx.srcPos)
 		m.index.txAdd(tx)
-	}
-	if m.frameLog != nil {
-		m.frameLog(now, r.id, f)
 	}
 	m.stats.FramesSent[f.Kind()]++
 	bits := uint64(f.AirBits(m.cfg.Sizes))

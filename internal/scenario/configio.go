@@ -12,7 +12,7 @@ import (
 )
 
 // fileConfig is the JSON mirror of Config: the serialisable subset (no
-// tracers, writers, or parameter pointers), with the scheme by name.
+// recorders, probes, or parameter pointers), with the scheme by name.
 // Zero-valued fields inherit the paper defaults for the chosen scheme,
 // so a config file only states its deviations.
 type fileConfig struct {
@@ -194,8 +194,8 @@ func EncodeConfig(cfg Config) ([]byte, error) {
 }
 
 // DecodeConfig parses a configuration produced by EncodeConfig. Runtime-only
-// attachments (tracers, recorders, frame capture) are not part of the
-// encoding; reattach them after decoding.
+// attachments (recorders, cancellation and progress probes) are not part
+// of the encoding; reattach them after decoding.
 func DecodeConfig(b []byte) (Config, error) {
 	return LoadConfig(bytes.NewReader(b))
 }

@@ -143,8 +143,9 @@ func (s *Sim) exportSnapshot() (*snapshot.Snapshot, error) {
 // Restore rebuilds a simulation from a snapshot and overlays the saved
 // state; running it to the horizon is bit-identical to the run the snapshot
 // was taken from. The customize hooks may reattach runtime-only config
-// (recorders, tracers, frame capture) that the snapshot cannot carry; they
-// must not change anything that shapes the network or its randomness.
+// (recorders, cancellation and progress probes) that the snapshot cannot
+// carry; they must not change anything that shapes the network or its
+// randomness.
 func Restore(snap *snapshot.Snapshot, customize ...func(*Config)) (*Sim, error) {
 	if snap == nil {
 		return nil, errors.New("scenario: nil snapshot")

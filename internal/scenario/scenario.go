@@ -8,7 +8,6 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"dftmsn/internal/buffer"
@@ -27,7 +26,6 @@ import (
 	"dftmsn/internal/simrand"
 	"dftmsn/internal/snapshot"
 	"dftmsn/internal/telemetry"
-	"dftmsn/internal/trace"
 )
 
 // Config describes one simulation run. DefaultConfig returns the paper's
@@ -105,10 +103,6 @@ type Config struct {
 	// the control arm for the differential tests and the scale benchmarks.
 	// Leave it false.
 	EagerDecay bool
-	// Tracer optionally records events in the legacy TSV format (nil = no
-	// tracing). It is served through the trace-v2 layer by a byte-compatible
-	// adapter, so old tooling keeps working unchanged.
-	Tracer trace.Tracer
 	// Recorder optionally receives the run's typed trace-v2 events (nil =
 	// none). Attach a telemetry.JSONLWriter/BinaryWriter for files, a
 	// telemetry.Buffer for in-memory analysis, or any custom Recorder;
@@ -121,9 +115,6 @@ type Config struct {
 	// TelemetrySampleSeconds is the sampler interval in virtual seconds
 	// (0 = DurationSeconds/100).
 	TelemetrySampleSeconds float64
-	// FrameCapture optionally receives every transmitted frame in the
-	// packet capture format (see packet.CaptureWriter); nil disables.
-	FrameCapture io.Writer
 	// Params optionally overrides the scheme's node parameters; nil uses
 	// core.DefaultParams(Scheme).
 	Params *core.Params
@@ -383,7 +374,6 @@ type Sim struct {
 	injector  *faults.Injector
 	collector *metrics.Collector
 	invEng    *invariants.Engine
-	capture   *packet.CaptureWriter
 	rec       telemetry.Recorder
 	telem     *telemetry.RunMetrics
 	sampler   *telemetry.Sampler
@@ -437,22 +427,15 @@ func New(cfg Config) (*Sim, error) {
 	}
 	root := simrand.New(cfg.Seed)
 
-	// Telemetry composition: the caller's trace-v2 recorder, the legacy
-	// tracer behind a byte-compatible adapter, and (when armed) the metrics
-	// registry all observe the same typed event stream. With none of them
-	// configured this collapses to the allocation-free Nop.
+	// Telemetry composition: the caller's trace-v2 recorder and (when
+	// armed) the metrics registry observe the same typed event stream. With
+	// neither configured this collapses to the allocation-free Nop.
+	var metricsRec telemetry.Recorder
 	if cfg.Telemetry {
 		s.telem = telemetry.NewRunRegistry(cfg.DurationSeconds, cfg.QueueCapacity)
-	}
-	var legacy telemetry.Recorder
-	if adapter := telemetry.NewLegacyAdapter(cfg.Tracer); adapter != nil {
-		legacy = adapter
-	}
-	var metricsRec telemetry.Recorder
-	if s.telem != nil {
 		metricsRec = s.telem
 	}
-	s.rec = telemetry.Combine(cfg.Recorder, legacy, metricsRec)
+	s.rec = telemetry.Combine(cfg.Recorder, metricsRec)
 
 	// The mode was validated above; arm the invariant engine before the
 	// nodes exist so their probes can register as they are built.
@@ -502,14 +485,6 @@ func New(cfg Config) (*Sim, error) {
 		}, simrand.New(cfg.Seed).Split("aux/burstloss")); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.FrameCapture != nil {
-		s.capture = packet.NewCaptureWriter(cfg.FrameCapture)
-		s.medium.SetFrameLog(func(now float64, src packet.NodeID, f packet.Frame) {
-			// Capture failures must not abort the simulation; the writer
-			// error surfaces at the Flush in Run.
-			_ = s.capture.Write(now, src, f)
-		})
 	}
 
 	mobCfg := mobility.ZoneWalkConfig{MaxSpeed: cfg.MaxSpeed, MinSpeed: 0.1, ExitProb: cfg.ExitProb}
@@ -1022,11 +997,6 @@ func (s *Sim) Run() (Result, error) {
 	}
 	for _, n := range s.sensors {
 		n.FinalizeElision(end)
-	}
-	if s.capture != nil {
-		if err := s.capture.Flush(); err != nil {
-			return Result{}, fmt.Errorf("scenario: frame capture: %w", err)
-		}
 	}
 	if s.invEng != nil {
 		// Close the copy-conservation ledger against the injector's digest.

@@ -9,7 +9,7 @@ import (
 	"dftmsn/internal/energy"
 	"dftmsn/internal/faults"
 	"dftmsn/internal/geo"
-	"dftmsn/internal/trace"
+	"dftmsn/internal/telemetry"
 )
 
 // quickConfig returns a small, fast scenario for tests.
@@ -211,10 +211,9 @@ func TestNodeAccessors(t *testing.T) {
 }
 
 func TestTracerReceivesEvents(t *testing.T) {
-	var sb strings.Builder
+	buf := &telemetry.Buffer{}
 	cfg := quickConfig(core.SchemeOPT)
-	w := trace.NewWriter(&sb, 0)
-	cfg.Tracer = w
+	cfg.Recorder = buf
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -222,48 +221,69 @@ func TestTracerReceivesEvents(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	seen := make(map[telemetry.EventType]bool)
+	for _, ev := range buf.Events {
+		seen[ev.Type] = true
 	}
-	out := sb.String()
-	for _, ev := range []string{"gen", "sleep", "wake", "rx-data"} {
-		if !strings.Contains(out, "\t"+ev) {
-			t.Errorf("trace missing %q events", ev)
+	for _, typ := range []telemetry.EventType{telemetry.EvGen, telemetry.EvSleep, telemetry.EvWake, telemetry.EvRx} {
+		if !seen[typ] {
+			t.Errorf("trace missing %q events", typ)
 		}
 	}
 }
 
 func TestTraceInvariantsHoldForEveryScheme(t *testing.T) {
-	// Run each scheme with tracing (plus failures, to cover the death
-	// path) and check the protocol invariants on the resulting trace.
+	// Run each scheme under each fault mode that takes nodes down — a
+	// one-shot kill (the death path) and churn with the buffer wiped or
+	// preserved (crash silence and the boot wake) — and check the node
+	// lifecycle rules on the recorded event stream.
+	faultModes := []struct {
+		name    string
+		reboots bool
+		apply   func(*Config)
+	}{
+		{"kill", false, func(cfg *Config) {
+			cfg.FailFraction = 0.2
+			cfg.FailAtSeconds = cfg.DurationSeconds / 2
+		}},
+		{"churn-wipe", true, func(cfg *Config) {
+			cfg.Faults = &faults.Plan{Churn: &faults.Churn{MTBFSeconds: 200, MTTRSeconds: 50, Fraction: 0.5}}
+		}},
+		{"churn-preserve", true, func(cfg *Config) {
+			cfg.Faults = &faults.Plan{Churn: &faults.Churn{MTBFSeconds: 200, MTTRSeconds: 50, Fraction: 0.5, PreserveBuffer: true}}
+		}},
+	}
 	for _, sch := range core.AllSchemes() {
 		sch := sch
 		t.Run(sch.String(), func(t *testing.T) {
-			var sb strings.Builder
-			w := trace.NewWriter(&sb, 0)
-			cfg := quickConfig(sch)
-			cfg.Tracer = w
-			cfg.FailFraction = 0.2
-			cfg.FailAtSeconds = cfg.DurationSeconds / 2
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			recs, err := trace.Parse(strings.NewReader(sb.String()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) == 0 {
-				t.Fatal("empty trace")
-			}
-			if vs := trace.Verify(recs); len(vs) != 0 {
-				t.Fatalf("protocol invariants violated:\n%s", trace.FormatViolations(vs))
+			for _, mode := range faultModes {
+				mode := mode
+				t.Run(mode.name, func(t *testing.T) {
+					buf := &telemetry.Buffer{}
+					cfg := quickConfig(sch)
+					cfg.Recorder = buf
+					mode.apply(&cfg)
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.Run(); err != nil {
+						t.Fatal(err)
+					}
+					counts := make(map[telemetry.EventType]int)
+					for _, ev := range buf.Events {
+						counts[ev.Type]++
+					}
+					if counts[telemetry.EvCrash] == 0 {
+						t.Fatal("no node went down")
+					}
+					if mode.reboots && counts[telemetry.EvReboot] == 0 {
+						t.Fatal("no crashed node rebooted")
+					}
+					if vs := telemetry.Verify(buf.Events); len(vs) != 0 {
+						t.Fatalf("protocol invariants violated: %v", vs)
+					}
+				})
 			}
 		})
 	}

@@ -1,13 +1,11 @@
 package scenario
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
 	"dftmsn/internal/core"
 	"dftmsn/internal/telemetry"
-	"dftmsn/internal/trace"
 )
 
 // TestTelemetryReport runs a small scenario with the telemetry layer armed
@@ -103,9 +101,8 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 
 	cfg := quickConfig(core.SchemeOPT)
 	cfg.Telemetry = true
-	cfg.Recorder = &telemetry.Buffer{}
-	var legacy bytes.Buffer
-	cfg.Tracer = trace.NewWriter(&legacy, 0)
+	buf := &telemetry.Buffer{}
+	cfg.Recorder = buf
 	traced, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,15 +121,11 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	if !reflect.DeepEqual(plain.Channel, instr.Channel) {
 		t.Errorf("channel stats changed under telemetry")
 	}
-	if legacy.Len() == 0 {
-		t.Error("legacy adapter produced no TSV output")
+	if len(buf.Events) == 0 {
+		t.Error("recorder received no events")
 	}
-	// The legacy TSV must still satisfy the historical trace invariants.
-	events, err := trace.Parse(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy trace parse: %v", err)
-	}
-	if issues := trace.Verify(events); len(issues) != 0 {
-		t.Errorf("legacy trace verify: %v", issues)
+	// The recorded stream must satisfy the node lifecycle rules.
+	if vs := telemetry.Verify(buf.Events); len(vs) != 0 {
+		t.Errorf("trace verify: %v", vs)
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,13 +51,26 @@ type journal struct {
 	f  *os.File
 }
 
-// openJournal opens (or creates) the journal for appending.
-func openJournal(path string) (*journal, error) {
+// openJournal opens (or creates) the journal for appending. validEnd is
+// the replay's end of intact records: anything past it is the torn tail of
+// a write a crash interrupted, and it is cut off (and the cut fsync'd)
+// before the first append, so new records never share a line with it.
+func openJournal(path string, validEnd int64) (*journal, error) {
 	if path == "" {
 		return &journal{}, nil
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("service: journal: %w", err)
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > validEnd {
+		if err = f.Truncate(validEnd); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("service: journal: %w", err)
 	}
 	return &journal{f: f}, nil
@@ -106,43 +120,54 @@ type replayedJob struct {
 }
 
 // replayJournal reads a journal and folds it into per-job final states, in
-// first-submission order. A truncated trailing line — the crash arriving
-// mid-write — is tolerated and ignored; any earlier malformed line is
-// corruption and an error. A missing file yields an empty replay.
-func replayJournal(path string) ([]replayedJob, error) {
+// first-submission order, and returns the byte offset just past the last
+// intact record. Only newline-terminated lines are records. A trailing
+// line that is unterminated or malformed — the crash arriving mid-write —
+// is tolerated and ignored; any earlier malformed line is corruption and
+// an error. A missing file yields an empty replay.
+func replayJournal(path string) (jobs []replayedJob, validEnd int64, err error) {
 	if path == "" {
-		return nil, nil
+		return nil, 0, nil
 	}
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("service: journal: %w", err)
+		return nil, 0, fmt.Errorf("service: journal: %w", err)
 	}
 	defer f.Close()
 
-	jobs := make(map[string]*replayedJob)
+	byID := make(map[string]*replayedJob)
 	var order []string
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
+	sc.Split(scanRecords)
 	var pendingErr error
+	var offset int64
 	line := 0
 	for sc.Scan() {
 		line++
 		if pendingErr != nil {
 			// The malformed line was not the last one: real corruption.
-			return nil, pendingErr
+			return nil, 0, pendingErr
+		}
+		rec := sc.Bytes()
+		offset += int64(len(rec))
+		if rec[len(rec)-1] != '\n' {
+			// Unterminated, hence the last line: a torn write.
+			break
 		}
 		var e journalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+		if err := json.Unmarshal(rec, &e); err != nil {
 			pendingErr = fmt.Errorf("service: journal %s line %d: %w", path, line, err)
 			continue
 		}
-		j := jobs[e.Job]
+		validEnd = offset
+		j := byID[e.Job]
 		if j == nil {
 			j = &replayedJob{ID: e.Job}
-			jobs[e.Job] = j
+			byID[e.Job] = j
 			order = append(order, e.Job)
 		}
 		j.State = e.State
@@ -169,11 +194,24 @@ func replayJournal(path string) ([]replayedJob, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("service: journal %s: %w", path, err)
+		return nil, 0, fmt.Errorf("service: journal %s: %w", path, err)
 	}
-	out := make([]replayedJob, 0, len(order))
+	jobs = make([]replayedJob, 0, len(order))
 	for _, id := range order {
-		out = append(out, *jobs[id])
+		jobs = append(jobs, *byID[id])
 	}
-	return out, nil
+	return jobs, validEnd, nil
+}
+
+// scanRecords is a bufio.SplitFunc like bufio.ScanLines, except that each
+// token keeps its newline, so the caller can tell a complete record from
+// an unterminated tail and count exact byte offsets.
+func scanRecords(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }

@@ -50,7 +50,7 @@ func BuildVersion() string { return buildVersion }
 // SHA-256 of the canonical config encoding, the seed, and the build
 // version. The simulation is deterministic, so these three fully determine
 // the Result — two submissions with the same key can share one simulation.
-// Runtime-only attachments (recorders, tracers, cancellation probes) are
+// Runtime-only attachments (recorders, cancellation and progress probes) are
 // excluded from the encoding and therefore never perturb the key.
 func CacheKey(cfg scenario.Config) (string, error) {
 	blob, err := scenario.EncodeConfig(cfg)

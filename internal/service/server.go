@@ -200,11 +200,11 @@ type Server struct {
 // workers and Handler to mount the HTTP API.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	replayed, err := replayJournal(opts.JournalPath)
+	replayed, validEnd, err := replayJournal(opts.JournalPath)
 	if err != nil {
 		return nil, err
 	}
-	jnl, err := openJournal(opts.JournalPath)
+	jnl, err := openJournal(opts.JournalPath, validEnd)
 	if err != nil {
 		return nil, err
 	}

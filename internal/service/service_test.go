@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -519,7 +520,7 @@ func TestJournalFailureFailsClosed(t *testing.T) {
 	if got.State != stateQueued || !strings.Contains(got.Error, "journal") {
 		t.Fatalf("job state %q error %q, want queued with a journal error", got.State, got.Error)
 	}
-	replayed, err := replayJournal(path)
+	replayed, _, err := replayJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,5 +538,68 @@ func TestJournalFailureFailsClosed(t *testing.T) {
 	}
 	if code, _ := submit(t, ts, tinyRunBody(12)); code != http.StatusServiceUnavailable {
 		t.Fatalf("submit after journal failure = %d, want 503", code)
+	}
+}
+
+// TestJournalTornTailIsTruncated restarts on a journal whose last write was
+// torn by a crash. The next server must cut the fragment off before it
+// appends: otherwise its first acknowledged transition shares a line with
+// the fragment and is silently lost on the following replay, and the one
+// after that turns the fragment into mid-file corruption that refuses to
+// start.
+func TestJournalTornTailIsTruncated(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "journal.jsonl")
+	intact := `{"job":"a","state":"cancelled"}` + "\n"
+	if err := os.WriteFile(jp, []byte(intact+`{"job":"a","sta`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restart := func() *Server {
+		t.Helper()
+		s, err := New(Options{JournalPath: jp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	s := restart()
+	if b, err := os.ReadFile(jp); err != nil || string(b) != intact {
+		t.Fatalf("journal after restart = %q (%v), want the torn tail cut off", b, err)
+	}
+	if err := s.journal.append(journalEntry{Job: "b", State: stateCancelled}); err != nil {
+		t.Fatal(err)
+	}
+	s.journal.close()
+
+	s = restart()
+	if j := s.jobs["b"]; j == nil || j.state != stateCancelled {
+		t.Fatalf("acknowledged transition of job b lost across restart: %+v", j)
+	}
+	if err := s.journal.append(journalEntry{Job: "c", State: stateCancelled}); err != nil {
+		t.Fatal(err)
+	}
+	s.journal.close()
+
+	s = restart()
+	defer s.journal.close()
+	if fmt.Sprint(s.order) != "[a b c]" {
+		t.Fatalf("replayed jobs %v, want [a b c]", s.order)
+	}
+}
+
+// TestJournalCorruptMiddleLineRefusesStart: only the final line can be a
+// torn write. A malformed line with intact records after it is corruption,
+// and the server must refuse to start rather than truncate history.
+func TestJournalCorruptMiddleLineRefusesStart(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "journal.jsonl")
+	body := `{"job":"a","state":"cancelled"}` + "\n" + `{"job":"b","sta` + "\n" + `{"job":"c","state":"cancelled"}` + "\n"
+	if err := os.WriteFile(jp, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Options{JournalPath: jp}); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("New on a corrupt journal: err = %v, want a line 2 error", err)
+	}
+	if b, err := os.ReadFile(jp); err != nil || string(b) != body {
+		t.Fatalf("refused start rewrote the journal: %q (%v)", b, err)
 	}
 }

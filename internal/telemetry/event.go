@@ -1,12 +1,15 @@
-// Package telemetry is the simulator's typed observability layer: trace v2.
+// Package telemetry is the simulator's typed observability layer and its
+// one event log: trace v2.
 //
-// Where internal/trace emits free-form tab-separated strings, telemetry
-// emits schema-versioned Events with structured fields, so tools can query
-// a run instead of grepping it. The package provides
+// Every node-lifecycle and protocol event is a schema-versioned Event with
+// structured fields, so tools can query a run instead of grepping it. The
+// package provides
 //
 //   - the Event model and the Recorder interface the protocol stack emits
 //     into (the Nop recorder is allocation-free, so untraced runs pay
 //     nothing);
+//   - Verify, which checks the node-lifecycle rules (§4.1 sleep/wake,
+//     crash and reboot) over a recorded event stream;
 //   - two on-disk encodings — JSONL for greppability and a compact binary
 //     framing for bulk runs — with auto-detecting readers;
 //   - a provenance Ledger reconstructing each message's custody chain
@@ -59,7 +62,9 @@ const (
 	EvCrash
 	// EvReboot: a crashed node recovered.
 	EvReboot
-	// EvKill: fault injection took the node down for good.
+	// EvKill: nothing emits it; fault injection's permanent kills record
+	// EvCrash with no reboot. It stays in the catalog so the binary type
+	// codes of the events after it do not shift.
 	EvKill
 	// EvDied: the node exhausted its battery. Value = the budget in joules.
 	EvDied

@@ -48,7 +48,7 @@ func NewWriter(w io.Writer, format Format, maxEvents uint64) (FileWriter, error)
 }
 
 // DetectFormat sniffs the encoding of a trace-v2 stream without consuming
-// it. An error means the stream is neither encoding (e.g. legacy TSV).
+// it. An error means the stream is neither encoding.
 func DetectFormat(r *bufio.Reader) (Format, error) {
 	head, err := r.Peek(4)
 	if err != nil && len(head) == 0 {

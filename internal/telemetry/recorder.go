@@ -1,11 +1,5 @@
 package telemetry
 
-import (
-	"fmt"
-
-	"dftmsn/internal/trace"
-)
-
 // Recorder receives typed simulation events. Implementations must not
 // panic; tracing never aborts a run. Recorders used by a single simulation
 // are called from one goroutine (the kernel's); the file-backed recorders
@@ -66,53 +60,3 @@ var _ Recorder = (*Buffer)(nil)
 
 // Record implements Recorder.
 func (b *Buffer) Record(ev Event) { b.Events = append(b.Events, ev) }
-
-// LegacyAdapter renders typed events as the legacy free-form trace lines
-// (internal/trace), so a trace.Writer attached to a run produces exactly
-// the tab-separated output it always did. Event types the legacy format
-// never carried (cts, ack, drop, deliver, ftd-update) are skipped, keeping
-// legacy traces byte-compatible.
-type LegacyAdapter struct {
-	t trace.Tracer
-}
-
-var _ Recorder = (*LegacyAdapter)(nil)
-
-// NewLegacyAdapter wraps a legacy tracer. A nil tracer yields a nil
-// adapter, which Combine skips.
-func NewLegacyAdapter(t trace.Tracer) *LegacyAdapter {
-	if t == nil {
-		return nil
-	}
-	return &LegacyAdapter{t: t}
-}
-
-// Record implements Recorder by emitting the historical (event, detail)
-// string pair for the event types the legacy format defined.
-func (a *LegacyAdapter) Record(ev Event) {
-	switch ev.Type {
-	case EvGen:
-		a.t.Emit(ev.Time, ev.Node, "gen", fmt.Sprintf("msg=%d", ev.Msg))
-	case EvGenDrop:
-		a.t.Emit(ev.Time, ev.Node, "gen-drop", fmt.Sprintf("msg=%d", ev.Msg))
-	case EvTx:
-		a.t.Emit(ev.Time, ev.Node, "schedule", fmt.Sprintf("msg=%d receivers=%d", ev.Msg, ev.Count))
-	case EvRx:
-		a.t.Emit(ev.Time, ev.Node, "rx-data",
-			fmt.Sprintf("msg=%d from=%d ftd=%.3f kept=%v", ev.Msg, ev.Peer, ev.FTD, ev.Kept))
-	case EvTxOutcome:
-		a.t.Emit(ev.Time, ev.Node, "tx-outcome", fmt.Sprintf("scheduled=%d acked=%d", ev.Count, ev.Aux))
-	case EvSleep:
-		a.t.Emit(ev.Time, ev.Node, "sleep", fmt.Sprintf("dur=%.3f", ev.Value))
-	case EvWake:
-		a.t.Emit(ev.Time, ev.Node, "wake", "")
-	case EvCrash:
-		a.t.Emit(ev.Time, ev.Node, "crash", fmt.Sprintf("lost=%d", ev.Count))
-	case EvReboot:
-		a.t.Emit(ev.Time, ev.Node, "recover", "")
-	case EvKill:
-		a.t.Emit(ev.Time, ev.Node, "killed", "")
-	case EvDied:
-		a.t.Emit(ev.Time, ev.Node, "died", fmt.Sprintf("joules=%.3f", ev.Value))
-	}
-}

@@ -8,8 +8,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"dftmsn/internal/trace"
 )
 
 func sampleEvents() []Event {
@@ -193,40 +191,6 @@ func TestCombine(t *testing.T) {
 	m.Record(Event{Type: EvGen, Msg: 7})
 	if len(b.Events) != 1 || len(b2.Events) != 1 {
 		t.Errorf("Multi fan-out: got %d, %d events", len(b.Events), len(b2.Events))
-	}
-}
-
-// TestLegacyAdapterByteCompatible locks the adapter to the historical TSV
-// lines byte for byte.
-func TestLegacyAdapterByteCompatible(t *testing.T) {
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf, 0)
-	a := NewLegacyAdapter(w)
-	for _, ev := range sampleEvents() {
-		a.Record(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	want := strings.Join([]string{
-		"0.500000\t4\tgen\tmsg=1",
-		"0.600000\t5\tgen-drop\tmsg=2",
-		"1.500000\t4\tschedule\tmsg=1 receivers=2",
-		"1.750000\t0\trx-data\tmsg=1 from=4 ftd=0.500 kept=true",
-		"1.750000\t9\trx-data\tmsg=1 from=4 ftd=0.250 kept=false",
-		"2.000000\t4\ttx-outcome\tscheduled=2 acked=1",
-		"4.000000\t7\tsleep\tdur=12.500",
-		"16.500000\t7\twake\t",
-		"20.000000\t8\tcrash\tlost=3",
-		"25.000000\t8\trecover\t",
-		"30.000000\t6\tkilled\t",
-		"40.000000\t3\tdied\tjoules=100.000",
-	}, "\n") + "\n"
-	if buf.String() != want {
-		t.Errorf("legacy lines:\n%s\nwant:\n%s", buf.String(), want)
-	}
-	if NewLegacyAdapter(nil) != nil {
-		t.Error("NewLegacyAdapter(nil) should be nil")
 	}
 }
 
