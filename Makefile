@@ -41,8 +41,8 @@ bench-json:
 		| $(GO) run ./cmd/benchjson > BENCH_baseline.json
 
 # Diff a fresh benchmark run against the committed baseline; exits nonzero
-# on a >25% ns/op or allocs/op regression, or a >10% events/run growth, in
-# any benchmark present in both.
+# on a >25% ns/op, allocs/op or B/op regression, or a >10% events/run
+# growth, in any benchmark present in both.
 bench-diff:
 	( $(GO) test -bench=. -benchmem $(BENCH_PKGS) && \
 	  DFTMSN_SCALE_BENCH=1 $(GO) test -bench='BenchmarkRunLarge2000Idle$$' \

@@ -11,12 +11,12 @@
 //	    -speedup-fast BenchmarkRunLarge2000 -speedup-min 5
 //
 // With -diff, every benchmark present in both the baseline and the fresh
-// run is compared; a ns/op or allocs/op increase beyond the tolerance
-// (default 25%), or an events/run increase beyond -events-tol (default
-// 10%; the scenario scale benchmarks report this custom metric), is a
-// regression and the exit status is nonzero. With the -speedup flags, the
-// named slow benchmark must be at least -speedup-min times the ns/op of
-// the fast one.
+// run is compared; a ns/op increase beyond -ns-tol, an allocs/op or B/op
+// increase beyond -alloc-tol (default 25% each), or an events/run increase
+// beyond -events-tol (default 10%; the scenario scale benchmarks report
+// this custom metric), is a regression and the exit status is nonzero.
+// With the -speedup flags, the named slow benchmark must be at least
+// -speedup-min times the ns/op of the fast one.
 package main
 
 import (
@@ -127,7 +127,7 @@ var benchLine = regexp.MustCompile(
 func main() {
 	diffPath := flag.String("diff", "", "baseline JSON to diff the fresh run on stdin against (regression ⇒ exit 1)")
 	nsTol := flag.Float64("ns-tol", 0.25, "tolerated fractional ns/op increase before a diff counts as a regression")
-	allocTol := flag.Float64("alloc-tol", 0.25, "tolerated fractional allocs/op increase before a diff counts as a regression")
+	allocTol := flag.Float64("alloc-tol", 0.25, "tolerated fractional allocs/op or B/op increase before a diff counts as a regression")
 	eventsTol := flag.Float64("events-tol", 0.10, "tolerated fractional events/run increase before a diff counts as a regression")
 	speedupSlow := flag.String("speedup-slow", "", "benchmark name expected to be slower (speedup assertion)")
 	speedupFast := flag.String("speedup-fast", "", "benchmark name expected to be faster (speedup assertion)")
@@ -302,9 +302,9 @@ func loadBaseline(path string) (*Document, error) {
 }
 
 // diff compares every benchmark present in both documents (keyed by
-// package + name) and reports per-metric changes. A ns/op, allocs/op, or
-// events/run increase beyond the given fractional tolerance is a
-// regression — the events/run gate is what catches an elision opportunity
+// package + name) and reports per-metric changes. A ns/op, allocs/op, B/op
+// or events/run increase beyond its fractional tolerance (allocTol covers
+// both memory columns) is a regression — the events/run gate is what catches an elision opportunity
 // silently lost (events regrowing without ns/op moving much on a fast
 // machine). Benchmarks present on only one side are skipped: baselines
 // are allowed to trail newly added benchmarks until regenerated. Rows are
@@ -327,13 +327,18 @@ func diff(base, fresh *Document, nsTol, allocTol, eventsTol float64) (rows []str
 			verdict = "REGRESSION(ns/op)"
 			regressed = true
 		}
-		allocNote := ""
+		memNote := ""
 		if b.HasMem && f.HasMem {
 			allocDelta := frac(float64(f.AllocsPerOp), float64(b.AllocsPerOp))
-			allocNote = fmt.Sprintf("  allocs %d -> %d (%+.1f%%)",
-				b.AllocsPerOp, f.AllocsPerOp, 100*allocDelta)
+			bytesDelta := frac(f.BytesPerOp, b.BytesPerOp)
+			memNote = fmt.Sprintf("  allocs %d -> %d (%+.1f%%)  bytes %.0f -> %.0f (%+.1f%%)",
+				b.AllocsPerOp, f.AllocsPerOp, 100*allocDelta, b.BytesPerOp, f.BytesPerOp, 100*bytesDelta)
 			if b.AllocsPerOp > 0 && allocDelta > allocTol {
 				verdict = "REGRESSION(allocs/op)"
+				regressed = true
+			}
+			if b.BytesPerOp > 0 && bytesDelta > allocTol {
+				verdict = "REGRESSION(B/op)"
 				regressed = true
 			}
 		}
@@ -348,7 +353,7 @@ func diff(base, fresh *Document, nsTol, allocTol, eventsTol float64) (rows []str
 			}
 		}
 		rows = append(rows, fmt.Sprintf("%-14s %s.%s: ns/op %.0f -> %.0f (%+.1f%%)%s%s",
-			verdict, f.Package, f.Name, b.NsPerOp, f.NsPerOp, 100*nsDelta, allocNote, eventsNote))
+			verdict, f.Package, f.Name, b.NsPerOp, f.NsPerOp, 100*nsDelta, memNote, eventsNote))
 	}
 	return rows, regressed
 }

@@ -145,6 +145,40 @@ func TestDiffFlagsRegressions(t *testing.T) {
 	}
 }
 
+// TestDiffFlagsBytesRegressions checks the B/op leg: bytes growing past
+// -alloc-tol fail even with allocs/op flat (fewer, larger allocations),
+// shrinking bytes never fail, and a baseline row without memory columns
+// compares no bytes.
+func TestDiffFlagsBytesRegressions(t *testing.T) {
+	base := &Document{Benchmarks: []Benchmark{
+		{Package: "p", Name: "BenchmarkNew", NsPerOp: 1000, BytesPerOp: 4000, AllocsPerOp: 10, HasMem: true},
+		{Package: "p", Name: "BenchmarkNoMem", NsPerOp: 1000},
+	}}
+	fresh := &Document{Benchmarks: []Benchmark{
+		{Package: "p", Name: "BenchmarkNew", NsPerOp: 1000, BytesPerOp: 5200, AllocsPerOp: 10, HasMem: true},
+		{Package: "p", Name: "BenchmarkNoMem", NsPerOp: 1000, BytesPerOp: 1e9, AllocsPerOp: 1, HasMem: true},
+	}}
+	rows, regressed := diff(base, fresh, 0.25, 0.25, 0.10)
+	if !regressed || !strings.Contains(rows[0], "REGRESSION(B/op)") {
+		t.Fatalf("diff missed the B/op regression; rows: %v", rows)
+	}
+	if strings.Contains(rows[1], "REGRESSION") || strings.Contains(rows[1], "bytes") {
+		t.Errorf("mem-less baseline row compared bytes: %s", rows[1])
+	}
+	within := &Document{Benchmarks: []Benchmark{
+		{Package: "p", Name: "BenchmarkNew", NsPerOp: 1000, BytesPerOp: 4900, AllocsPerOp: 10, HasMem: true},
+	}}
+	if rows, reg := diff(base, within, 0.25, 0.25, 0.10); reg {
+		t.Errorf("within-tolerance bytes growth flagged: %v", rows)
+	}
+	shrunk := &Document{Benchmarks: []Benchmark{
+		{Package: "p", Name: "BenchmarkNew", NsPerOp: 1000, BytesPerOp: 1000, AllocsPerOp: 12, HasMem: true},
+	}}
+	if rows, reg := diff(base, shrunk, 0.25, 0.25, 0.10); reg {
+		t.Errorf("bytes reduction flagged: %v", rows)
+	}
+}
+
 // TestParseCPUHeaders pins the machine-context fields: the cpu: header is
 // recorded verbatim and GOMAXPROCS is derived from the row name suffixes.
 func TestParseCPUHeaders(t *testing.T) {

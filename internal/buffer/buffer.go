@@ -53,6 +53,11 @@ const (
 
 // Queue is the paper's FTD-sorted bounded queue. The zero value is not
 // usable; construct with NewQueue.
+//
+// Storage grows on demand: a new queue holds no entries and no index, and
+// the entry slice grows with the queue's depth, never past capacity+1 (the
+// depth an Insert reaches just before its overflow eviction). Real queues
+// sit far below K, and a large scenario builds one per node.
 type Queue struct {
 	entries   []Entry // ascending FTD, stable by insertion order
 	capacity  int
@@ -68,6 +73,7 @@ type Queue struct {
 	// search over the sorted entries. Storing the FTD rather than the
 	// position keeps maintenance O(1): positions shift on every insert and
 	// remove, but an entry's FTD only changes when the caller updates it.
+	// Nil until the first insert.
 	index map[packet.MessageID]float64
 }
 
@@ -81,12 +87,40 @@ func NewQueue(capacity int, threshold float64) (*Queue, error) {
 	if threshold < 0 || math.IsNaN(threshold) {
 		return nil, fmt.Errorf("buffer: threshold %v must be >= 0", threshold)
 	}
-	return &Queue{
-		entries:   make([]Entry, 0, capacity),
-		capacity:  capacity,
-		threshold: threshold,
-		index:     make(map[packet.MessageID]float64, capacity),
-	}, nil
+	return &Queue{capacity: capacity, threshold: threshold}, nil
+}
+
+// growOne extends s by one slot, reallocating when it is full: the
+// capacity doubles (from a floor of minGrow) but never exceeds limit, the
+// most entries the owner ever holds at once, unless one more slot needs
+// it. The new slot's contents are unspecified; the caller overwrites it.
+func growOne(s []Entry, limit int) []Entry {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
+	}
+	const minGrow = 4
+	n := min(max(2*cap(s), minGrow), limit)
+	n = max(n, len(s)+1)
+	grown := make([]Entry, len(s)+1, n)
+	copy(grown, s)
+	return grown
+}
+
+// restoreEntries rebuilds an entry slice from snapshot form into s's
+// storage, reallocating at exactly the snapshot's length when s is too
+// small.
+func restoreEntries(s []Entry, st []EntryState) []Entry {
+	if cap(s) < len(st) {
+		s = make([]Entry, 0, len(st))
+	}
+	s = s[:0]
+	for _, e := range st {
+		s = append(s, Entry{
+			ID: e.ID, Origin: e.Origin, CreatedAt: e.CreatedAt,
+			PayloadBits: e.PayloadBits, FTD: e.FTD, Hops: e.Hops, seq: e.Seq,
+		})
+	}
+	return s
 }
 
 // Len returns the number of stored entries.
@@ -185,9 +219,12 @@ func (q *Queue) Insert(e Entry) bool {
 	q.seq++
 	q.version++
 	pos := q.insertPos(e)
-	q.entries = append(q.entries, Entry{})
+	q.entries = growOne(q.entries, q.capacity+1)
 	copy(q.entries[pos+1:], q.entries[pos:])
 	q.entries[pos] = e
+	if q.index == nil {
+		q.index = make(map[packet.MessageID]float64)
+	}
 	q.index[e.ID] = e.FTD
 	if len(q.entries) > q.capacity {
 		evicted := q.entries[len(q.entries)-1]
@@ -290,13 +327,12 @@ func (q *Queue) ExportState() QueueState {
 // RestoreState overlays a snapshot onto a freshly built queue with the same
 // capacity and threshold, rebuilding the ID index.
 func (q *Queue) RestoreState(st QueueState) {
-	q.entries = q.entries[:0]
+	q.entries = restoreEntries(q.entries, st.Entries)
 	clear(q.index)
-	for _, e := range st.Entries {
-		q.entries = append(q.entries, Entry{
-			ID: e.ID, Origin: e.Origin, CreatedAt: e.CreatedAt,
-			PayloadBits: e.PayloadBits, FTD: e.FTD, Hops: e.Hops, seq: e.Seq,
-		})
+	if q.index == nil && len(q.entries) > 0 {
+		q.index = make(map[packet.MessageID]float64, len(q.entries))
+	}
+	for _, e := range q.entries {
 		q.index[e.ID] = e.FTD
 	}
 	q.seq = st.Seq

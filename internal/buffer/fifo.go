@@ -9,6 +9,7 @@ import (
 // FIFO is a bounded first-in-first-out message queue, used by the baseline
 // schemes (ZBR, direct transmission, epidemic flooding) that do not manage
 // their queues by FTD. A full FIFO drops the incoming message (drop-tail).
+// Like Queue, its storage grows on demand up to capacity.
 type FIFO struct {
 	entries  []Entry
 	capacity int
@@ -20,7 +21,7 @@ func NewFIFO(capacity int) (*FIFO, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("buffer: capacity %d must be positive", capacity)
 	}
-	return &FIFO{entries: make([]Entry, 0, capacity), capacity: capacity}, nil
+	return &FIFO{capacity: capacity}, nil
 }
 
 // Len returns the number of stored entries.
@@ -68,7 +69,8 @@ func (f *FIFO) Insert(e Entry) bool {
 		f.drops.Full++
 		return false
 	}
-	f.entries = append(f.entries, e)
+	f.entries = growOne(f.entries, f.capacity)
+	f.entries[len(f.entries)-1] = e
 	return true
 }
 
@@ -122,12 +124,6 @@ func (f *FIFO) ExportState() FIFOState {
 // RestoreState overlays a snapshot onto a freshly built FIFO with the same
 // capacity.
 func (f *FIFO) RestoreState(st FIFOState) {
-	f.entries = f.entries[:0]
-	for _, e := range st.Entries {
-		f.entries = append(f.entries, Entry{
-			ID: e.ID, Origin: e.Origin, CreatedAt: e.CreatedAt,
-			PayloadBits: e.PayloadBits, FTD: e.FTD, Hops: e.Hops, seq: e.Seq,
-		})
-	}
+	f.entries = restoreEntries(f.entries, st.Entries)
 	f.drops = st.Drops
 }

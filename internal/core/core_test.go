@@ -233,6 +233,45 @@ func TestNodeSleepsWhenIdle(t *testing.T) {
 	}
 }
 
+// TestIdleSpanPlanStorage pins where the idle-span plan's storage comes
+// from: made at the first plan, sized to the node's bound (the sleep
+// threshold L for a sleeping sensor, the cycle cap for an always-on sink),
+// and never made for a node that cannot elide.
+func TestIdleSpanPlanStorage(t *testing.T) {
+	params := DefaultParams(SchemeOPT)
+	net := newMiniNet(t, params)
+	if net.sensor.plan.cycles != nil || net.sink.plan.cycles != nil {
+		t.Fatal("NewNode made idle-span plan storage")
+	}
+	if err := net.sensor.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.sink.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.sched.Run(120); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cap(net.sensor.plan.cycles), min(planMaxCycles, params.Sleep.L); got != want {
+		t.Errorf("sensor plan capacity %d, want %d (L = %d)", got, want, params.Sleep.L)
+	}
+	if got := cap(net.sink.plan.cycles); got != planMaxCycles {
+		t.Errorf("sink plan capacity %d, want %d", got, planMaxCycles)
+	}
+
+	params.BatteryJoules = 1e6 // a battery bound disables elision
+	bounded := newMiniNet(t, params)
+	if err := bounded.sensor.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bounded.sched.Run(120); err != nil {
+		t.Fatal(err)
+	}
+	if bounded.sensor.plan.cycles != nil {
+		t.Error("a node that cannot elide made idle-span plan storage")
+	}
+}
+
 func TestNoSleepNodeStaysAwake(t *testing.T) {
 	net := newMiniNet(t, DefaultParams(SchemeNOSLEEP))
 	if err := net.sensor.Start(); err != nil {

@@ -191,11 +191,27 @@ const (
 // the world intervenes (frame capture, audible carrier, traffic, faults).
 type idleSpan struct {
 	active  bool
-	starts  []float64 // cycle start times s_i
-	listens []float64 // listen-expiry times l_i = s_i + τ_i·slot
-	ends    []float64 // cycle-end times e_i = l_i + R·slot; s_{i+1} = e_i
-	sigmas  []int     // σ_i each τ_i was drawn from (for stream rewind)
+	cycles  []planCycle
 	rngSnap simrand.State
+}
+
+// planCycle is one planned listen-only cycle of an idle span.
+type planCycle struct {
+	start  float64 // cycle start time s_i
+	listen float64 // listen-expiry time l_i = s_i + τ_i·slot
+	end    float64 // cycle-end time e_i = l_i + R·slot; s_{i+1} = e_i
+	sigma  int     // σ_i the τ_i was drawn from (for stream rewind)
+}
+
+// reset empties the cycle list for a new plan. The slice is reused across
+// spans; it is made at capacity (the node's planCap) on first use, so a
+// plan never append-doubles and a node that never plans never pays for
+// it.
+func (p *idleSpan) reset(capacity int) {
+	if p.cycles == nil {
+		p.cycles = make([]planCycle, 0, capacity)
+	}
+	p.cycles = p.cycles[:0]
 }
 
 var _ mac.Policy = (*Node)(nil)
@@ -238,13 +254,6 @@ func NewNode(
 		tauForVer: ^uint64(0),
 	}
 	n.stats.DiedAt = -1
-	// Plan slices are reused across spans ([:0] reset); sizing them to the
-	// cycle cap up front keeps first-plan growth out of the run phase and
-	// avoids append-doubling past the largest span a plan can hold.
-	n.plan.starts = make([]float64, 0, planMaxCycles+1)
-	n.plan.listens = make([]float64, 0, planMaxCycles+1)
-	n.plan.ends = make([]float64, 0, planMaxCycles+1)
-	n.plan.sigmas = make([]int, 0, planMaxCycles+1)
 	n.startCycleFn = n.startCycle
 	n.wakeFn = func() {
 		if n.stopped {
@@ -424,15 +433,13 @@ func (n *Node) planIdleSpan(tauMax int) bool {
 	if n.strategy.HasData() || n.radio.State() != radio.Idle || n.radio.CarrierBusy() {
 		return false
 	}
-	maxK := planMaxCycles
+	maxK := n.planCap()
 	if n.sleepCtl != nil {
 		// The plan may extend at most to the cycle whose completion trips
 		// ShouldSleep: that boundary must take the real endCycle path so
 		// the sleep decision and EvSleep happen exactly as in the eager
 		// arm.
-		if r := n.sleepCtl.Config().L - n.sleepCtl.IdleCycles(); r < maxK {
-			maxK = r
-		}
+		maxK = min(maxK, n.sleepCtl.Config().L-n.sleepCtl.IdleCycles())
 	}
 	if maxK < 1 {
 		return false
@@ -442,7 +449,7 @@ func (n *Node) planIdleSpan(tauMax int) bool {
 	}
 	now := n.sched.Now()
 	p := &n.plan
-	p.starts, p.listens, p.ends, p.sigmas = p.starts[:0], p.listens[:0], p.ends[:0], p.sigmas[:0]
+	p.reset(n.planCap())
 	p.rngSnap = n.rng.State()
 	slot := n.macCfg.SlotTime
 	listen := float64(n.macCfg.ReceiverListenSlots) * slot
@@ -459,16 +466,13 @@ func (n *Node) planIdleSpan(tauMax int) bool {
 		// boundaries must match it to the last ulp.
 		l := start + float64(tau)*slot
 		e := l + listen
-		p.starts = append(p.starts, start)
-		p.listens = append(p.listens, l)
-		p.ends = append(p.ends, e)
-		p.sigmas = append(p.sigmas, sigma)
+		p.cycles = append(p.cycles, planCycle{start: start, listen: l, end: e, sigma: sigma})
 		start = e
 		if e-now >= planMaxSeconds {
 			break
 		}
 	}
-	ev, err := n.sched.RescheduleAt(n.planEndEv, p.ends[len(p.ends)-1], "idle-span", n.planEndFn)
+	ev, err := n.sched.RescheduleAt(n.planEndEv, p.cycles[len(p.cycles)-1].end, "idle-span", n.planEndFn)
 	if err != nil {
 		// Unreachable: every plan end is strictly in the future.
 		panic(fmt.Sprintf("core: idle-span end in the past: %v", err))
@@ -476,6 +480,17 @@ func (n *Node) planIdleSpan(tauMax int) bool {
 	n.planEndEv = ev
 	p.active = true
 	return true
+}
+
+// planCap bounds the cycles of any plan this node makes: the cycle cap,
+// or the sleep threshold L when smaller, since a plan stops at the cycle
+// whose completion trips ShouldSleep. planIdleSpan narrows it by the idle
+// cycles already counted; RestoreState rejects a plan longer than it.
+func (n *Node) planCap() int {
+	if n.sleepCtl != nil {
+		return min(planMaxCycles, n.sleepCtl.Config().L)
+	}
+	return planMaxCycles
 }
 
 // replayBoundary applies the state updates of one fully elided idle-cycle
@@ -506,22 +521,23 @@ func (n *Node) materialize(now float64) {
 	n.sched.Cancel(n.planEndEv)
 	var elided uint64
 	i := 0
-	for ; p.ends[i] < now; i++ {
-		n.replayBoundary(p.ends[i])
+	for ; p.cycles[i].end < now; i++ {
+		n.replayBoundary(p.cycles[i].end)
 		elided += 2 // the cycle's listen timer and end timer
 	}
 	// Rewind and re-consume the τ draws for cycles 0..i — the ones the
 	// eager arm has made by now; the drawn-ahead tail is discarded.
 	n.rng.Restore(p.rngSnap)
-	for d := 0; d <= i; d++ {
-		n.rng.SlotIn(p.sigmas[d])
+	for _, c := range p.cycles[:i+1] {
+		n.rng.SlotIn(c.sigma)
 	}
+	c := p.cycles[i]
 	var err error
-	if now <= p.listens[i] {
-		err = n.engine.ResumeListen(p.starts[i], p.listens[i])
+	if now <= c.listen {
+		err = n.engine.ResumeListen(c.start, c.listen)
 	} else {
 		elided++ // the cycle's listen timer already elapsed unobserved
-		err = n.engine.ResumeListenOnly(p.starts[i], p.ends[i])
+		err = n.engine.ResumeListenOnly(c.start, c.end)
 	}
 	if err != nil {
 		panic("core: idle-span resume failed: " + err.Error())
@@ -538,9 +554,9 @@ func (n *Node) planEnd() {
 		return
 	}
 	p.active = false
-	last := len(p.ends) - 1
-	for i := 0; i < last; i++ {
-		n.replayBoundary(p.ends[i])
+	last := len(p.cycles) - 1
+	for _, c := range p.cycles[:last] {
+		n.replayBoundary(c.end)
 	}
 	// Each interior boundary elides a listen timer and an end timer; the
 	// final cycle's listen timer is also elided, while its end timer is
@@ -574,11 +590,11 @@ func (n *Node) FinalizeElision(horizon float64) {
 		p.active = false
 		n.sched.Cancel(n.planEndEv)
 		i := 0
-		for ; i < len(p.ends) && p.ends[i] <= horizon; i++ {
-			n.replayBoundary(p.ends[i])
+		for ; i < len(p.cycles) && p.cycles[i].end <= horizon; i++ {
+			n.replayBoundary(p.cycles[i].end)
 			elided += 2
 		}
-		if i < len(p.ends) && p.listens[i] <= horizon {
+		if i < len(p.cycles) && p.cycles[i].listen <= horizon {
 			elided++ // listen timer of the cycle straddling the horizon
 		}
 	}

@@ -134,13 +134,18 @@ func (n *Node) ExportState() (NodeState, error) {
 			return NodeState{}, fmt.Errorf("core: node %d has an active idle-span plan with no pending plan-end event", n.id)
 		}
 		p := &n.plan
-		st.Plan = &IdleSpanState{
-			Starts:  append([]float64(nil), p.starts...),
-			Listens: append([]float64(nil), p.listens...),
-			Ends:    append([]float64(nil), p.ends...),
-			Sigmas:  append([]int(nil), p.sigmas...),
+		k := len(p.cycles)
+		plan := &IdleSpanState{
+			Starts:  make([]float64, k),
+			Listens: make([]float64, k),
+			Ends:    make([]float64, k),
+			Sigmas:  make([]int, k),
 			RNGSnap: append(simrand.State(nil), p.rngSnap...),
 		}
+		for i, c := range p.cycles {
+			plan.Starts[i], plan.Listens[i], plan.Ends[i], plan.Sigmas[i] = c.start, c.listen, c.end, c.sigma
+		}
+		st.Plan = plan
 		st.PlanEndEv = ref
 	}
 	return st, nil
@@ -203,11 +208,17 @@ func (n *Node) RestoreState(st NodeState) error {
 		if n.planEndFn == nil {
 			return fmt.Errorf("core: node %d snapshot has an idle-span plan but the node does not elide", n.id)
 		}
+		sp := st.Plan
+		k := len(sp.Starts)
+		if k == 0 || k > n.planCap() || len(sp.Listens) != k || len(sp.Ends) != k || len(sp.Sigmas) != k {
+			return fmt.Errorf("core: node %d snapshot has a malformed idle-span plan (%d/%d/%d/%d cycles)",
+				n.id, k, len(sp.Listens), len(sp.Ends), len(sp.Sigmas))
+		}
 		p := &n.plan
-		p.starts = append(p.starts[:0], st.Plan.Starts...)
-		p.listens = append(p.listens[:0], st.Plan.Listens...)
-		p.ends = append(p.ends[:0], st.Plan.Ends...)
-		p.sigmas = append(p.sigmas[:0], st.Plan.Sigmas...)
+		p.reset(n.planCap())
+		for i := range k {
+			p.cycles = append(p.cycles, planCycle{start: sp.Starts[i], listen: sp.Listens[i], end: sp.Ends[i], sigma: sp.Sigmas[i]})
+		}
 		p.rngSnap = append(simrand.State(nil), st.Plan.RNGSnap...)
 		ev, err := n.sched.InjectAt(st.PlanEndEv, n.planEndFn)
 		if err != nil {

@@ -78,6 +78,18 @@ func TestCheckpointMidIdleSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareArm(t, "mid-idle-span restore", baseRes, restRes, baseBuf.Events, concatEvents(prefix, restBuf.Events))
+
+	// A plan whose per-cycle sequences disagree in length is refused with
+	// an error rather than restored into an out-of-range index.
+	for _, ns := range snap.Nodes {
+		if ns.Plan != nil {
+			ns.Plan.Sigmas = ns.Plan.Sigmas[:len(ns.Plan.Sigmas)-1]
+			break
+		}
+	}
+	if _, err := Restore(snap); err == nil {
+		t.Error("Restore accepted an idle-span plan with a short σ sequence")
+	}
 }
 
 // TestCheckpointOnWheelTick pins the wheel rearm edge: a checkpoint taken at
