@@ -113,12 +113,13 @@ snapshot-diff:
 
 # The observability differential gate under the race detector: an observed
 # run (progress probe firing at every kernel stride, StreamTee in the
-# recorder chain, consumers attaching/detaching mid-run) must be
-# bit-identical to an unobserved one across the 10-config matrix, and the
-# /stream endpoint must replay/resume with no gaps and no duplicates.
+# recorder chain, readers starting and stopping ReadAt/WaitAt paging
+# mid-run) must be bit-identical to an unobserved one across the 10-config
+# matrix, and the /stream endpoint must replay/resume with no gaps and no
+# duplicates.
 observe-diff:
 	$(GO) test -race \
-			-run 'TestObservedRunMatchesUnobserved|TestStreamAttachDetachMidRunNoPerturb|TestStreamEndpointReplayAndResume' \
+			-run 'TestObservedRunMatchesUnobserved|TestStreamReadersMidRunNoPerturb|TestStreamEndpointReplayAndResume' \
 			./internal/scenario/ ./internal/service/
 
 # The dftserve crash soak under the race detector: build the daemon, kill

@@ -295,7 +295,7 @@ func NewNode(
 			n.lazy = lz
 			lz.EnableLazyDecay(sched.Now, params.DecayInterval)
 		} else {
-			n.decay = sim.NewTicker(sched, params.DecayInterval, func(now sim.Time) {
+			n.decay = sim.NewTicker(sched, params.DecayInterval, "", func(now sim.Time) {
 				dt.OnDecayTick(now)
 			})
 		}

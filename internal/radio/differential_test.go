@@ -82,7 +82,7 @@ func runDifferentialScript(t *testing.T, seed uint64, linear bool) string {
 	// Mobility: every 0.5 s each radio takes a bounded random step; the
 	// index is refreshed after the batch, like the scenario ticker does.
 	walkRng := rng.Split("walk")
-	walk := sim.NewTicker(sched, 0.5, func(sim.Time) {
+	walk := sim.NewTicker(sched, 0.5, "walk", func(sim.Time) {
 		for i := range pos {
 			pos[i].X += walkRng.Uniform(-4, 4)
 			pos[i].Y += walkRng.Uniform(-4, 4)
@@ -137,9 +137,9 @@ func runDifferentialScript(t *testing.T, seed uint64, linear bool) string {
 				fmt.Fprintf(&log, "t=%.9f node=%d txrefused\n", sched.Now(), i)
 			}
 		}
-		sched.Post(actRng.Exp(0.02), "act", act)
+		sched.AfterLabeled(actRng.Exp(0.02), "act", act)
 	}
-	sched.Post(0, "act", act)
+	sched.AfterLabeled(0, "act", act)
 
 	if err := sched.Run(horizon); err != nil {
 		t.Fatal(err)

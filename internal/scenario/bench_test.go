@@ -153,6 +153,21 @@ func BenchmarkRunLarge2000IdleEager(b *testing.B) {
 	benchRunLarge(b, idleConfig(2000, 30, true))
 }
 
+// BenchmarkNewIdle2000 prices construction alone at the 2000-node idle
+// point. The scale tier stops its timer around New, so its B/op and
+// allocs/op never see construction memory; this benchmark does. One New is
+// cheap enough for the regular bench tier, so it is not env-gated:
+// bench-json records it and bench-diff gates its B/op and allocs/op.
+func BenchmarkNewIdle2000(b *testing.B) {
+	cfg := idleConfig(2000, 120, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunTelemetry runs the same scenario with the metrics registry,
 // the periodic sampler, and an in-memory trace-v2 stream all armed.
 func BenchmarkRunTelemetry(b *testing.B) {

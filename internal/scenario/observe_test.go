@@ -29,11 +29,30 @@ func encodeJSONL(t *testing.T, evs []telemetry.Event) []byte {
 	return buf.Bytes()
 }
 
+// readAll pages through tee with ReadAt/WaitAt from offset 0 until the
+// stream reports done, the way the service's /stream handler does, and
+// returns every event it read.
+func readAll(tee *telemetry.StreamTee) []telemetry.Event {
+	var got []telemetry.Event
+	var off uint64
+	for {
+		page, next, done := tee.ReadAt(off, 128)
+		got = append(got, page...)
+		off = next
+		if done {
+			return got
+		}
+		if len(page) == 0 {
+			tee.WaitAt(off, nil, 10*time.Millisecond)
+		}
+	}
+}
+
 // TestObservedRunMatchesUnobserved is the observability tentpole's
 // differential gate: a run with the progress probe armed (throttle forced
-// to fire at every probe), a StreamTee in the recorder chain, and a
-// push-side stream consumer attached must produce a bit-identical Result
-// and byte-identical telemetry vs. a plain unobserved run, across the full
+// to fire at every probe) and a StreamTee in the recorder chain, paged by
+// a concurrent ReadAt reader, must produce a bit-identical Result and
+// byte-identical telemetry vs. a plain unobserved run, across the full
 // 10-config elision matrix. Observability may cost wall clock; it may not
 // perturb virtual time.
 func TestObservedRunMatchesUnobserved(t *testing.T) {
@@ -57,30 +76,32 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 				return res, buf.Events
 			}
 
-			runObserved := func() (Result, []telemetry.Event, *telemetry.StreamTee, int) {
+			runObserved := func() (Result, []telemetry.Event, []telemetry.Event, int) {
 				c := cfg
 				buf := &telemetry.Buffer{}
-				tee := telemetry.NewStreamTee(0)
+				tee := telemetry.NewStreamTee()
 				c.Recorder = telemetry.Multi{buf, tee}
 				progressCalls := 0
 				c.OnProgress = func(Progress) { progressCalls++ }
 				c.ProgressEvery = time.Nanosecond // fire at every kernel probe
-				consumer := tee.Attach(&telemetry.Buffer{}, 256)
+				read := make(chan []telemetry.Event, 1)
+				go func() { read <- readAll(tee) }()
 				s, err := New(c)
 				if err != nil {
+					tee.Close()
 					t.Fatal(err)
 				}
 				res, err := s.Run()
+				tee.Close()
+				streamed := <-read
 				if err != nil {
 					t.Fatal(err)
 				}
-				tee.Close()
-				_ = consumer
-				return res, buf.Events, tee, progressCalls
+				return res, buf.Events, streamed, progressCalls
 			}
 
 			plainRes, plainEvents := runPlain()
-			obsRes, obsEvents, tee, progressCalls := runObserved()
+			obsRes, obsEvents, streamed, progressCalls := runObserved()
 
 			if !reflect.DeepEqual(plainRes, obsRes) {
 				t.Fatalf("Results diverge between observed and unobserved runs:\nplain:    %+v\nobserved: %+v", plainRes, obsRes)
@@ -91,24 +112,22 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 			if a, b := encodeJSONL(t, plainEvents), encodeJSONL(t, obsEvents); !bytes.Equal(a, b) {
 				t.Fatal("telemetry bytes diverge between observed and unobserved runs")
 			}
-			// The tee's replayable log is the same stream again.
-			logEvents, _, done := tee.ReadAt(0, 0)
-			if !done {
-				t.Fatal("closed tee did not report done")
-			}
-			if !reflect.DeepEqual(logEvents, plainEvents) {
-				t.Fatalf("stream tee log (%d events) differs from the recorded stream (%d events)",
-					len(logEvents), len(plainEvents))
+			// The concurrent reader saw the same stream again, with no gaps
+			// and no duplicates.
+			if !reflect.DeepEqual(streamed, plainEvents) {
+				t.Fatalf("stream reader got %d events, the recorded stream has %d (or they differ)",
+					len(streamed), len(plainEvents))
 			}
 		})
 	}
 }
 
-// TestStreamAttachDetachMidRunNoPerturb is the race-detector satellite:
-// consumers attaching, detaching, and paging through the log concurrently
-// with the running simulation must never perturb the Result or the event
-// stream. Run under -race in CI.
-func TestStreamAttachDetachMidRunNoPerturb(t *testing.T) {
+// TestStreamReadersMidRunNoPerturb is the race-detector satellite: readers
+// that start paging through the log mid-run, read for a while, stop, and
+// start again must never perturb the Result or the event stream, and every
+// page they read must match the final log at its offset. Run under -race
+// in CI.
+func TestStreamReadersMidRunNoPerturb(t *testing.T) {
 	cfg := DefaultConfig(core.SchemeOPT)
 	cfg.NumSensors = 25
 	cfg.NumSinks = 2
@@ -129,7 +148,7 @@ func TestStreamAttachDetachMidRunNoPerturb(t *testing.T) {
 	}
 
 	obs := cfg
-	tee := telemetry.NewStreamTee(0)
+	tee := telemetry.NewStreamTee()
 	obsBuf := &telemetry.Buffer{}
 	obs.Recorder = telemetry.Multi{obsBuf, tee}
 	obs.OnProgress = func(Progress) {}
@@ -139,39 +158,41 @@ func TestStreamAttachDetachMidRunNoPerturb(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each reader session joins at the log's current end (or at 0 on every
+	// other session), pages a handful of times, and records what it read.
+	type session struct {
+		from uint64
+		evs  []telemetry.Event
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	sessions := make([][]session, 3)
+	for i := range sessions {
+		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for n := 0; ; n++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				c := tee.Attach(&telemetry.Buffer{}, 8) // tiny queue: forces drops
-				time.Sleep(time.Millisecond)
-				c.Detach()
+				var off uint64
+				if n%2 == 1 {
+					off = tee.Len()
+				}
+				sess := session{from: off}
+				for page := 0; page < 8; page++ {
+					evs, next, _ := tee.ReadAt(off, 64)
+					sess.evs = append(sess.evs, evs...)
+					off = next
+					tee.WaitAt(off, stop, time.Millisecond)
+				}
+				sessions[i] = append(sessions[i], sess)
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var off uint64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_, next, _ := tee.ReadAt(off, 128)
-			off = next
-			tee.WaitAt(off, stop, 2*time.Millisecond)
-		}
-	}()
 
 	got, err := s2.Run()
 	close(stop)
@@ -181,10 +202,25 @@ func TestStreamAttachDetachMidRunNoPerturb(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("concurrent stream consumers perturbed the Result")
+		t.Fatal("concurrent stream readers perturbed the Result")
 	}
 	if !reflect.DeepEqual(refBuf.Events, obsBuf.Events) {
-		t.Fatal("concurrent stream consumers perturbed the event stream")
+		t.Fatal("concurrent stream readers perturbed the event stream")
+	}
+	log, _, _ := tee.ReadAt(0, 0)
+	read := 0
+	for _, reader := range sessions {
+		for _, sess := range reader {
+			end := sess.from + uint64(len(sess.evs))
+			if end > uint64(len(log)) || (len(sess.evs) > 0 && !reflect.DeepEqual(sess.evs, log[sess.from:end])) {
+				t.Fatalf("a reader session from offset %d read %d events that differ from the log",
+					sess.from, len(sess.evs))
+			}
+			read += len(sess.evs)
+		}
+	}
+	if read == 0 {
+		t.Fatal("no reader session read any event mid-run")
 	}
 }
 

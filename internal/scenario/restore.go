@@ -94,14 +94,14 @@ func (s *Sim) exportSnapshot() (*snapshot.Snapshot, error) {
 		return nil, err
 	}
 	snap := &snapshot.Snapshot{
-		Time:      float64(s.sched.Now()),
-		Config:    cfgBytes,
-		Kernel:    s.sched.ExportState(),
-		Wheel:     s.wheel.ExportState(),
-		Medium:    med,
-		Mobility:  s.walk.ExportState(),
-		NextMsgID: uint64(s.nextMsgID),
-		Collector: s.collector.ExportState(),
+		Time:         float64(s.sched.Now()),
+		Config:       cfgBytes,
+		Kernel:       s.sched.ExportState(),
+		MobilityTick: s.mobility.ExportState(),
+		Medium:       med,
+		Mobility:     s.walk.ExportState(),
+		NextMsgID:    uint64(s.nextMsgID),
+		Collector:    s.collector.ExportState(),
 	}
 	for _, n := range s.sinks {
 		ns, err := n.ExportState()
@@ -254,9 +254,9 @@ func (s *Sim) restoreFrom(snap *snapshot.Snapshot, freshPlan bool) error {
 	}
 
 	// Drop everything New scheduled (start jitter, initial arrivals, the
-	// wheel arm, decay tickers) and overwrite the clock and counters; every
-	// pending event of the snapshotted run is then re-injected at its exact
-	// (time, seq) position by the component restores below.
+	// mobility tick, decay tickers) and overwrite the clock and counters;
+	// every pending event of the snapshotted run is then re-injected at its
+	// exact (time, seq) position by the component restores below.
 	ks := snap.Kernel
 	if freshPlan {
 		// Restart the isolated band: the fresh injector's arm at the
@@ -267,7 +267,7 @@ func (s *Sim) restoreFrom(snap *snapshot.Snapshot, freshPlan bool) error {
 	s.sched.ResetForRestore(ks)
 	s.startsPending = 0
 
-	if err := s.wheel.RestoreState(snap.Wheel); err != nil {
+	if err := s.mobility.RestoreState(snap.MobilityTick); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
 	if err := s.medium.RestoreState(snap.Medium); err != nil {

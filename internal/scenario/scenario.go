@@ -98,10 +98,9 @@ type Config struct {
 	LinearMedium bool
 	// EagerDecay runs the nodes with per-node decay tickers and per-cycle
 	// MAC events instead of the event-elision engine (lazy closed-form ξ
-	// decay, coalesced idle spans, batched mobility ticks). The two are
-	// verified equivalent (bit-identical results and telemetry); this is
-	// the control arm for the differential tests and the scale benchmarks.
-	// Leave it false.
+	// decay, coalesced idle spans). The two are verified equivalent
+	// (bit-identical results and telemetry); this is the control arm for
+	// the differential tests and the scale benchmarks. Leave it false.
 	EagerDecay bool
 	// Recorder optionally receives the run's typed trace-v2 events (nil =
 	// none). Attach a telemetry.JSONLWriter/BinaryWriter for files, a
@@ -312,9 +311,9 @@ type Result struct {
 	// Events is the number of kernel events executed. EventsScheduled is
 	// how many were filed into the heap, and EventsElided is how many the
 	// elision engine replayed in closed form instead of firing (idle-span
-	// cycle boundaries, batched mobility ticks, lazy decay epochs). An
-	// eager run of the same configuration fires Events + EventsElided
-	// events, which the differential tests assert exactly.
+	// cycle boundaries, lazy decay epochs). An eager run of the same
+	// configuration fires Events + EventsElided events, which the
+	// differential tests assert exactly.
 	Events          uint64
 	EventsScheduled uint64
 	EventsElided    uint64
@@ -368,7 +367,7 @@ type Sim struct {
 	medium    *radio.Medium
 	grid      *geo.Grid
 	walk      *mobility.ZoneWalk
-	wheel     *sim.Wheel
+	mobility  *sim.Ticker
 	sensors   []*core.Node
 	sinks     []*core.Node
 	injector  *faults.Injector
@@ -605,45 +604,21 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 
-	// Mobility ticking rides the shared upkeep wheel: tick times are
-	// bit-identical to the dedicated ticker this replaced. In the lazy arm
-	// the subscriber is batchable — runs of ticks inside an event-free
-	// window with a silent channel collapse into one replay, since
-	// positions only change inside Step and nothing can observe them
-	// mid-window. With frames in flight the batch declines: a coalesced
-	// node may step into carrier range, and a busy carrier at its listen
-	// expiry is observable (a Deferred cycle), so those ticks run as real
-	// events followed by a carrier poll.
-	wheel := sim.NewWheel(s.sched, cfg.DurationSeconds)
-	s.wheel = wheel
-	tickStep := func(sim.Time) {
+	// Every walker steps on one shared ticker. Positions only change
+	// inside Step, so refreshing the medium's spatial index here keeps it
+	// exact between ticks. With frames in flight a node may step into
+	// carrier range, and a busy carrier at a coalesced span's listen
+	// expiry is observable (a Deferred cycle), so the tick polls carriers;
+	// eager nodes keep no span and ignore the poll. The "wheel" label is
+	// the name kernel ledgers key the mobility row on.
+	s.mobility = sim.NewTicker(s.sched, cfg.MobilityTickSeconds, "wheel", func(sim.Time) {
 		s.walk.Step(cfg.MobilityTickSeconds)
-		// Positions only change inside Step, so refreshing the medium's
-		// spatial index here keeps it exact between ticks.
 		s.medium.RefreshPositions()
-	}
-	if cfg.EagerDecay {
-		wheel.Add(cfg.MobilityTickSeconds, tickStep)
-	} else {
-		wheel.AddBatchable(cfg.MobilityTickSeconds, func(now sim.Time) {
-			tickStep(now)
-			if s.medium.ActiveTransmissions() > 0 {
-				s.pollCarriers()
-			}
-		}, func(n int, _, _ sim.Time) int {
-			// Transmissions start and end only inside events, so the count
-			// is constant across the whole event-free window: zero means no
-			// carrier can go busy mid-window and the steps are unobservable.
-			if s.medium.ActiveTransmissions() > 0 {
-				return 0
-			}
-			for i := 0; i < n; i++ {
-				s.walk.Step(cfg.MobilityTickSeconds)
-			}
-			s.medium.RefreshPositions()
-			return n
-		})
-	}
+		if s.medium.ActiveTransmissions() > 0 {
+			s.pollCarriers()
+		}
+	})
+	s.mobility.Start()
 
 	// Traffic: independent Poisson processes per sensor, with retained
 	// event handles and bound callbacks so checkpoints can capture them.

@@ -92,13 +92,12 @@ func TestCheckpointMidIdleSpan(t *testing.T) {
 	}
 }
 
-// TestCheckpointOnWheelTick pins the wheel rearm edge: a checkpoint taken at
-// an instant where a mobility wheel tick just fired (the wheel has consumed
-// its event and re-armed the next) must restore and continue bit-identically.
-// The eager arm guarantees every tick is a real fired event to land on.
-func TestCheckpointOnWheelTick(t *testing.T) {
+// TestCheckpointOnMobilityTick pins the ticker rearm edge: a checkpoint
+// taken at an instant where a mobility tick just fired (the ticker has
+// consumed its event and re-armed the next) must restore and continue
+// bit-identically.
+func TestCheckpointOnMobilityTick(t *testing.T) {
 	cfg := elisionConfigs()["opt-plain"]
-	cfg.EagerDecay = true
 
 	baseBuf := &telemetry.Buffer{}
 	c := cfg
@@ -141,8 +140,8 @@ func TestCheckpointOnWheelTick(t *testing.T) {
 	if snap.Time != tickAt {
 		t.Fatalf("checkpoint moved off the tick: took it at %v, wanted %v", snap.Time, tickAt)
 	}
-	if snap.Wheel.Ev == nil || float64(snap.Wheel.Ev.At) != tickAt+cfg.MobilityTickSeconds {
-		t.Fatalf("wheel not re-armed for the next tick: %+v", snap.Wheel)
+	if tk := snap.MobilityTick; !tk.Active || tk.Ev == nil || float64(tk.Ev.At) != tickAt+cfg.MobilityTickSeconds {
+		t.Fatalf("mobility ticker not re-armed for the next tick: %+v", tk)
 	}
 	prefix := append([]telemetry.Event(nil), buf.Events...)
 
@@ -155,5 +154,5 @@ func TestCheckpointOnWheelTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareArm(t, "wheel-tick restore", baseRes, restRes, baseBuf.Events, concatEvents(prefix, restBuf.Events))
+	compareArm(t, "mobility-tick restore", baseRes, restRes, baseBuf.Events, concatEvents(prefix, restBuf.Events))
 }

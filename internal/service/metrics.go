@@ -51,13 +51,12 @@ type serviceMetrics struct {
 	queueWait *telemetry.Histogram
 	runSecs   *telemetry.Histogram
 
-	gQueueDepth    *telemetry.Gauge
-	gQueueCap      *telemetry.Gauge
-	gRunning       *telemetry.Gauge
-	gCacheEntries  *telemetry.Gauge
-	gStreamDropped *telemetry.Gauge
-	cCacheHits     *telemetry.Counter
-	cCacheMisses   *telemetry.Counter
+	gQueueDepth   *telemetry.Gauge
+	gQueueCap     *telemetry.Gauge
+	gRunning      *telemetry.Gauge
+	gCacheEntries *telemetry.Gauge
+	cCacheHits    *telemetry.Counter
+	cCacheMisses  *telemetry.Counter
 }
 
 func newServiceMetrics() *serviceMetrics {
@@ -76,7 +75,6 @@ func newServiceMetrics() *serviceMetrics {
 	m.gQueueCap = m.reg.Gauge("queue_capacity")
 	m.gRunning = m.reg.Gauge("running")
 	m.gCacheEntries = m.reg.Gauge("cache_entries")
-	m.gStreamDropped = m.reg.Gauge("stream_dropped_events")
 	// 1 ms .. ~4.4 min in powers of 4: queueing and run times span from
 	// cache-warm microbenchmarks to paper-scale sweeps.
 	buckets := telemetry.ExponentialBuckets(0.001, 4, 10)
@@ -160,7 +158,6 @@ type gaugeSnapshot struct {
 	cacheEntries  int
 	cacheHits     uint64
 	cacheMisses   uint64
-	streamDropped uint64
 }
 
 // render writes the Prometheus text exposition (0.0.4). It mirrors the
@@ -181,7 +178,6 @@ func (m *serviceMetrics) render(w http.ResponseWriter, g gaugeSnapshot, build st
 	m.gQueueCap.Set(float64(g.queueCapacity))
 	m.gRunning.Set(float64(g.running))
 	m.gCacheEntries.Set(float64(g.cacheEntries))
-	m.gStreamDropped.Set(float64(g.streamDropped))
 
 	buf := make([]byte, 0, 4096)
 	name := metricsPrefix + "build_info"

@@ -67,9 +67,6 @@ type Options struct {
 	// StreamHeartbeat is the idle interval between SSE comment
 	// heartbeats on /stream (default 15s).
 	StreamHeartbeat time.Duration
-	// StreamMaxEvents caps a streamed job's retained in-memory event log
-	// (0 = unbounded); events beyond the cap are counted, not stored.
-	StreamMaxEvents uint64
 }
 
 func (o Options) withDefaults() Options {
@@ -252,7 +249,7 @@ func New(opts Options) (*Server, error) {
 			j.state = stateQueued
 			j.deadline = deadlineOf(req, opts.DefaultDeadline, opts.MaxDeadline)
 			if req.Stream && req.Kind == "run" {
-				j.tee = telemetry.NewStreamTee(opts.StreamMaxEvents)
+				j.tee = telemetry.NewStreamTee()
 			}
 			resumable = append(resumable, j)
 		}
@@ -659,7 +656,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j := s.newJob(req, cfg, key)
 	if req.Stream {
-		j.tee = telemetry.NewStreamTee(s.opts.StreamMaxEvents)
+		j.tee = telemetry.NewStreamTee()
 	}
 	j.enqueued = time.Now()
 	// Write-ahead: the submission reaches stable storage before the job
@@ -715,14 +712,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // cache gauges, and the queue-wait / run-duration histograms.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	entries, hits, misses := s.cache.Stats()
-	var dropped uint64
-	s.mu.Lock()
-	for _, id := range s.order {
-		if t := s.jobs[id].tee; t != nil {
-			dropped += t.Dropped() + t.Truncated()
-		}
-	}
-	s.mu.Unlock()
 	s.sm.render(w, gaugeSnapshot{
 		queueDepth:    s.depth.Load(),
 		queueCapacity: s.opts.QueueDepth,
@@ -730,7 +719,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		cacheEntries:  entries,
 		cacheHits:     hits,
 		cacheMisses:   misses,
-		streamDropped: dropped,
 	}, buildVersion)
 }
 

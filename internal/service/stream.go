@@ -100,7 +100,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if done {
-			buf = telemetry.AppendSSEDone(buf[:0], j.stateNow(), j.tee.Len(), j.tee.Dropped())
+			buf = telemetry.AppendSSEDone(buf[:0], j.stateNow(), j.tee.Len())
 			w.Write(buf)
 			flusher.Flush()
 			return

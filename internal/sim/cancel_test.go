@@ -15,9 +15,9 @@ func TestCancelStopsBetweenEvents(t *testing.T) {
 	var schedule func()
 	schedule = func() {
 		fired++
-		s.Post(1, "tick", schedule)
+		s.After(1, schedule)
 	}
-	s.Post(1, "tick", schedule)
+	s.After(1, schedule)
 
 	probeCalls := 0
 	s.SetCancel(func() bool {
@@ -45,7 +45,7 @@ func TestCancelStopsBetweenEvents(t *testing.T) {
 // run before any event fires.
 func TestCancelImmediately(t *testing.T) {
 	s := NewScheduler()
-	s.Post(1, "", func() { t.Fatal("event fired despite immediate cancellation") })
+	s.After(1, func() { t.Fatal("event fired despite immediate cancellation") })
 	s.SetCancel(func() bool { return true })
 	if err := s.Run(100); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("Run = %v, want ErrCancelled", err)
@@ -67,10 +67,10 @@ func TestCancelPrefixDeterminism(t *testing.T) {
 			*log = append(*log, s.Now())
 			n++
 			if n < 1000 {
-				s.Post(0.5, "", tick)
+				s.After(0.5, tick)
 			}
 		}
-		s.Post(0.5, "", tick)
+		s.After(0.5, tick)
 	}
 
 	var full []Time
@@ -129,10 +129,10 @@ func TestProgressProbeSharesStride(t *testing.T) {
 	tick = func() {
 		n++
 		if n < 5*CancelStride {
-			s.Post(1, "tick", tick)
+			s.After(1, tick)
 		}
 	}
-	s.Post(1, "tick", tick)
+	s.After(1, tick)
 
 	probes := 0
 	var snap Progress
@@ -154,9 +154,9 @@ func TestProgressProbeSharesStride(t *testing.T) {
 	// The probe composes with a cancellation probe on one stride counter.
 	s2 := NewScheduler()
 	var tick2 func()
-	s2.Post(1, "tick", func() {})
-	tick2 = func() { s2.Post(1, "tick", tick2) }
-	s2.Post(1, "tick", tick2)
+	s2.After(1, func() {})
+	tick2 = func() { s2.After(1, tick2) }
+	s2.After(1, tick2)
 	probes2, cancels := 0, 0
 	s2.SetProbe(func() { probes2++ })
 	s2.SetCancel(func() bool { cancels++; return cancels > 2 })
@@ -179,7 +179,7 @@ func TestProgressProbeSharesStride(t *testing.T) {
 func TestProgressSnapshotCountersMatchGetters(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 10; i++ {
-		s.Post(Time(i+1), "", func() {})
+		s.After(Time(i+1), func() {})
 	}
 	s.CountElided(7)
 	if err := s.Run(100); err != nil {

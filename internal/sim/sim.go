@@ -45,7 +45,7 @@ var ErrCancelled = errors.New("sim: cancelled")
 // AfterLabeled, Reschedule) are returned to the caller, who may Cancel or
 // Reschedule them later; they are never recycled, so a retained handle
 // stays permanently !Pending after it fires or is cancelled. Pooled events
-// (from Post and PostArg) return no handle, cannot be cancelled, and are
+// (from PostArg) return no handle, cannot be cancelled, and are
 // recycled through the scheduler's free list after firing.
 type Event struct {
 	at       Time
@@ -55,7 +55,7 @@ type Event struct {
 	arg      any
 	index    int // position in the heap, -1 once fired or cancelled
 	labels   string
-	poolable bool // true for Post/PostArg events: recycled after firing
+	poolable bool // true for PostArg events: recycled after firing
 }
 
 // At returns the virtual time this event is scheduled to fire at.
@@ -117,7 +117,7 @@ type Scheduler struct {
 	scheduled uint64
 	elided    uint64
 	onEvent   func(now Time, seq uint64, label string)
-	free      []*Event // recycled Post/PostArg events; handle events never enter
+	free      []*Event // recycled PostArg events; handle events never enter
 	isoSeq    uint64   // next isolated sequence number; 0 means "not yet used"
 
 	cancel          func() bool // cooperative cancellation probe (see SetCancel)
@@ -165,7 +165,7 @@ func (s *Scheduler) CountElided(n uint64) { s.elided += n }
 
 // NextEventTime returns the firing time of the earliest pending event. The
 // second result is false when the queue is empty. Peeking does not disturb
-// the queue; elision layers use it to bound how far they may fast-forward.
+// the queue; checkpoint stepping uses it to stop at the horizon.
 func (s *Scheduler) NextEventTime() (Time, bool) {
 	if len(s.queue) == 0 {
 		return 0, false
@@ -214,24 +214,14 @@ func (s *Scheduler) AfterLabeled(d Duration, label string, fn func()) *Event {
 	return e
 }
 
-// Post schedules fn to run d seconds from now without returning a handle.
-// Posted events cannot be cancelled, which lets the scheduler recycle their
-// Event objects through an internal free list: steady-state fire-and-forget
-// scheduling allocates no Event per call. A negative d is clamped to zero.
-func (s *Scheduler) Post(d Duration, label string, fn func()) {
-	if fn == nil {
-		panic(errors.New("sim: nil event func"))
-	}
-	e := s.pooled(d, label)
-	e.fn = fn
-	s.scheduled++
-	s.queue.push(e)
-}
-
-// PostArg is Post for callbacks taking one argument. Threading the argument
-// through the event instead of closing over it lets hot paths schedule one
-// long-lived func(any) with zero per-call allocations (a pointer stored in
-// an `any` does not allocate).
+// PostArg schedules fn(arg) to run d seconds from now without returning a
+// handle. Posted events cannot be cancelled, which lets the scheduler
+// recycle their Event objects through an internal free list: steady-state
+// fire-and-forget scheduling allocates no Event per call. Threading the
+// argument through the event instead of closing over it lets hot paths
+// schedule one long-lived func(any) with zero per-call allocations (a
+// pointer stored in an `any` does not allocate). A negative d is clamped
+// to zero.
 func (s *Scheduler) PostArg(d Duration, label string, fn func(any), arg any) {
 	if fn == nil {
 		panic(errors.New("sim: nil event func"))

@@ -264,10 +264,20 @@ func TestPropertyCancelNeverCorruptsHeap(t *testing.T) {
 func TestTickerFiresPeriodically(t *testing.T) {
 	s := NewScheduler()
 	var ticks []Time
-	tk := NewTicker(s, 2, func(now Time) { ticks = append(ticks, now) })
+	var labels []string
+	s.SetEventHook(func(_ Time, _ uint64, label string) { labels = append(labels, label) })
+	tk := NewTicker(s, 2, "tick", func(now Time) { ticks = append(ticks, now) })
 	tk.Start()
 	if err := s.Run(9); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if len(labels) != 4 {
+		t.Fatalf("hook saw %d events, want 4", len(labels))
+	}
+	for _, l := range labels {
+		if l != "tick" {
+			t.Fatalf("tick events labelled %q, want \"tick\"", l)
+		}
 	}
 	want := []Time{2, 4, 6, 8}
 	if len(ticks) != len(want) {
@@ -283,7 +293,7 @@ func TestTickerFiresPeriodically(t *testing.T) {
 func TestTickerStopAndRestart(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	tk := NewTicker(s, 1, func(Time) { count++ })
+	tk := NewTicker(s, 1, "", func(Time) { count++ })
 	tk.Start()
 	tk.Start() // double-start is a no-op
 	s.After(3.5, func() { tk.Stop() })
@@ -309,7 +319,7 @@ func TestTickerStopFromWithinCallback(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	var tk *Ticker
-	tk = NewTicker(s, 1, func(Time) {
+	tk = NewTicker(s, 1, "", func(Time) {
 		count++
 		if count == 2 {
 			tk.Stop()
@@ -321,6 +331,62 @@ func TestTickerStopFromWithinCallback(t *testing.T) {
 	}
 	if count != 2 {
 		t.Fatalf("ticked %d times, want 2", count)
+	}
+}
+
+// TestRescheduleAtReusesEvent covers the kernel primitive behind the MAC
+// and coalesced-cycle timers: absolute-time rescheduling that errors on
+// past times and reuses the handle.
+func TestRescheduleAtReusesEvent(t *testing.T) {
+	s := NewScheduler()
+	var fired []Time
+	fn := func() { fired = append(fired, s.Now()) }
+	ev, err := s.RescheduleAt(nil, 2, "x", fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.At(1, func() {
+		// Re-aim the pending event from inside the run.
+		if _, err := s.RescheduleAt(ev, 3, "x", fn); err != nil {
+			t.Fatal(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 1 || fired[0] != 3 {
+		t.Fatalf("fired at %v; want exactly once at t=3", fired)
+	}
+	if _, err := s.RescheduleAt(ev, s.Now()-1, "x", fn); err == nil {
+		t.Fatal("RescheduleAt accepted a past time")
+	}
+}
+
+// TestCountersAndNextEventTime covers the scheduled/fired/elided counters
+// and the queue-peek checkpointing uses to find a quiescent instant.
+func TestCountersAndNextEventTime(t *testing.T) {
+	s := NewScheduler()
+	if _, ok := s.NextEventTime(); ok {
+		t.Fatal("empty scheduler reported a next event")
+	}
+	if _, err := s.At(4, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.At(2, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if next, ok := s.NextEventTime(); !ok || next != 2 {
+		t.Fatalf("NextEventTime = %v, %v; want 2, true", next, ok)
+	}
+	s.CountElided(7)
+	if err := s.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if s.Scheduled() != 2 || s.Fired() != 2 || s.Elided() != 7 {
+		t.Fatalf("counters scheduled=%d fired=%d elided=%d; want 2, 2, 7",
+			s.Scheduled(), s.Fired(), s.Elided())
 	}
 }
 

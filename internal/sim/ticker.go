@@ -2,20 +2,21 @@ package sim
 
 // Ticker fires a callback at a fixed virtual-time period until stopped.
 // It is used for coarse periodic processes such as mobility updates and
-// metric sampling.
+// per-node decay epochs.
 type Ticker struct {
 	sched  *Scheduler
 	period Duration
+	label  string
 	fn     func(now Time)
 	ev     *Event
 	active bool
 	tick   func() // bound once; rearming reuses it and the Event object
 }
 
-// NewTicker creates a ticker bound to sched with the given period and
-// callback. The ticker is created stopped; call Start to begin.
-func NewTicker(sched *Scheduler, period Duration, fn func(now Time)) *Ticker {
-	t := &Ticker{sched: sched, period: period, fn: fn}
+// NewTicker creates a ticker bound to sched with the given period, event
+// label and callback. The ticker is created stopped; call Start to begin.
+func NewTicker(sched *Scheduler, period Duration, label string, fn func(now Time)) *Ticker {
+	t := &Ticker{sched: sched, period: period, label: label, fn: fn}
 	t.tick = func() {
 		if !t.active {
 			return
@@ -51,7 +52,7 @@ func (t *Ticker) Active() bool { return t.active }
 // ticker is its handle's exclusive owner, so Reschedule is equivalent to
 // Cancel+After without the per-tick allocation.
 func (t *Ticker) arm() {
-	t.ev = t.sched.Reschedule(t.ev, t.period, "", t.tick)
+	t.ev = t.sched.Reschedule(t.ev, t.period, t.label, t.tick)
 }
 
 // TickerState is a Ticker's snapshot: whether it runs and where its pending

@@ -1,6 +1,6 @@
 // Package snapshot defines the versioned, deterministic serialization of a
 // complete simulation: the kernel's event queue positions and counters, the
-// shared upkeep wheel, the radio medium and its loss processes, every
+// mobility ticker, the radio medium and its loss processes, every
 // node's protocol/MAC/radio/energy state, the traffic and mobility
 // processes, fault-injection progress, the metrics and invariant ledgers,
 // telemetry counters, and all RNG stream positions.
@@ -41,7 +41,7 @@ import (
 // Version — old snapshots are rejected, never misread.
 const (
 	magic   = "DFTMSNSNAP"
-	Version = 1
+	Version = 2
 )
 
 // TrafficState is one sensor's Poisson arrival process: its RNG stream and
@@ -69,8 +69,8 @@ type Snapshot struct {
 	Config []byte
 	// Kernel is the scheduler's clock and counters.
 	Kernel sim.KernelState
-	// Wheel is the shared upkeep wheel (mobility ticking).
-	Wheel sim.WheelState
+	// MobilityTick is the shared mobility ticker.
+	MobilityTick sim.TickerState
 	// Medium is the radio channel: counters, loss processes, pending burst
 	// flip.
 	Medium radio.MediumState

@@ -20,10 +20,10 @@ import (
 func testSnapshot() *Snapshot {
 	rng := simrand.New(42)
 	return &Snapshot{
-		Time:   123.456,
-		Config: []byte(`{"scheme":"OPT"}`),
-		Kernel: sim.KernelState{Now: 123.456, Seq: 9001, IsoSeq: 1 << 62, Fired: 8500, Scheduled: 9000, Elided: 250},
-		Wheel:  sim.WheelState{ArmedAt: 124, Armed: true, Ev: &sim.EventRef{At: 124, Seq: 8999}},
+		Time:         123.456,
+		Config:       []byte(`{"scheme":"OPT"}`),
+		Kernel:       sim.KernelState{Now: 123.456, Seq: 9001, IsoSeq: 1 << 62, Fired: 8500, Scheduled: 9000, Elided: 250},
+		MobilityTick: sim.TickerState{Active: true, Ev: &sim.EventRef{At: 124, Seq: 8999, Label: "wheel"}},
 		Medium: radio.MediumState{
 			Stats:   radio.StatsState{Collisions: 3, ControlBits: 1000},
 			LossRNG: rng.State(),
@@ -125,6 +125,12 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	bad[len(magic)] = 0xFF
 	if _, err := DecodeBytes(bad); err == nil {
 		t.Fatal("unknown version decoded without error")
+	}
+	// Version 1 files carry the retired upkeep-wheel layout.
+	bad = append([]byte(nil), blob...)
+	bad[len(magic)], bad[len(magic)+1] = 0, 1
+	if _, err := DecodeBytes(bad); err == nil {
+		t.Fatal("version 1 snapshot decoded without error")
 	}
 	// Flipped payload bytes: decode must return an error or a snapshot,
 	// never panic.

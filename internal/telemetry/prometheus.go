@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"io"
 	"math"
 	"strconv"
 )
@@ -103,30 +102,4 @@ func AppendPromHistogram(dst []byte, name string, labels []PromLabel, h *Histogr
 	}
 	dst = AppendPromSample(dst, name+"_sum", labels, h.Sum())
 	return AppendPromSample(dst, name+"_count", labels, float64(h.Count()))
-}
-
-// WritePrometheus renders every metric in the registry, in registration
-// order, in the Prometheus text exposition format. prefix (e.g.
-// "dftserve_") is prepended to every metric name; counters additionally
-// get the conventional "_total" suffix. The caller owns HTTP concerns
-// (content type "text/plain; version=0.0.4").
-func WritePrometheus(w io.Writer, prefix string, r *Registry) error {
-	var buf []byte
-	for _, c := range r.Counters() {
-		name := prefix + c.Name() + "_total"
-		buf = AppendPromType(buf, name, "counter")
-		buf = AppendPromSample(buf, name, nil, c.Value())
-	}
-	for _, g := range r.Gauges() {
-		name := prefix + g.Name()
-		buf = AppendPromType(buf, name, "gauge")
-		buf = AppendPromSample(buf, name, nil, g.Value())
-	}
-	for _, h := range r.Histograms() {
-		name := prefix + h.Name()
-		buf = AppendPromType(buf, name, "histogram")
-		buf = AppendPromHistogram(buf, name, nil, h)
-	}
-	_, err := w.Write(buf)
-	return err
 }

@@ -1,14 +1,11 @@
 package telemetry
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestWritePrometheus pins the exposition format for a registry exercising
-// all three metric kinds: TYPE headers, counter _total suffix, cumulative
+// TestAppendPrometheus pins the exposition format the AppendProm* helpers
+// produce for all three metric kinds: TYPE headers, samples, cumulative
 // le-labelled buckets ending in +Inf, and _sum/_count.
-func TestWritePrometheus(t *testing.T) {
+func TestAppendPrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("jobs_done").Add(3)
 	r.Gauge("queue_depth").Set(2)
@@ -18,9 +15,21 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(99)
 
-	var sb strings.Builder
-	if err := WritePrometheus(&sb, "dftserve_", r); err != nil {
-		t.Fatal(err)
+	var buf []byte
+	for _, c := range r.Counters() {
+		name := "dftserve_" + c.Name() + "_total"
+		buf = AppendPromType(buf, name, "counter")
+		buf = AppendPromSample(buf, name, nil, c.Value())
+	}
+	for _, g := range r.Gauges() {
+		name := "dftserve_" + g.Name()
+		buf = AppendPromType(buf, name, "gauge")
+		buf = AppendPromSample(buf, name, nil, g.Value())
+	}
+	for _, h := range r.Histograms() {
+		name := "dftserve_" + h.Name()
+		buf = AppendPromType(buf, name, "histogram")
+		buf = AppendPromHistogram(buf, name, nil, h)
 	}
 	want := `# TYPE dftserve_jobs_done_total counter
 dftserve_jobs_done_total 3
@@ -34,7 +43,7 @@ dftserve_queue_wait_seconds_bucket{le="+Inf"} 4
 dftserve_queue_wait_seconds_sum 100.05
 dftserve_queue_wait_seconds_count 4
 `
-	if got := sb.String(); got != want {
+	if got := string(buf); got != want {
 		t.Fatalf("exposition drifted:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

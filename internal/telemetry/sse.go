@@ -23,7 +23,7 @@ import (
 // stream ends with an explicit terminator message:
 //
 //	event: done
-//	data: {"state":"done","events":123,"dropped":0}
+//	data: {"state":"done","events":123}
 //
 // A client that reconnects passes the next offset it expects (its last id
 // + 1) via ?offset= or the standard Last-Event-ID header, and the server
@@ -49,17 +49,14 @@ func AppendSSEHeartbeat(dst []byte) []byte {
 }
 
 // AppendSSEDone appends the stream terminator message. state is the job's
-// terminal state; events is the total stream length; dropped counts events
-// lost by push consumers (0 for pull readers, which never drop).
-func AppendSSEDone(dst []byte, state string, events, dropped uint64) []byte {
+// terminal state; events is the total stream length.
+func AppendSSEDone(dst []byte, state string, events uint64) []byte {
 	dst = append(dst, "event: "...)
 	dst = append(dst, SSEDoneEvent...)
 	dst = append(dst, "\ndata: {\"state\":"...)
 	dst = strconv.AppendQuote(dst, state)
 	dst = append(dst, ",\"events\":"...)
 	dst = strconv.AppendUint(dst, events, 10)
-	dst = append(dst, ",\"dropped\":"...)
-	dst = strconv.AppendUint(dst, dropped, 10)
 	return append(dst, '}', '\n', '\n')
 }
 

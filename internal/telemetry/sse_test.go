@@ -30,7 +30,7 @@ func TestSSERoundTrip(t *testing.T) {
 			wire = AppendSSEHeartbeat(wire)
 		}
 	}
-	wire = AppendSSEDone(wire, "done", uint64(len(evs)), 0)
+	wire = AppendSSEDone(wire, "done", uint64(len(evs)))
 
 	got, done, err := DecodeSSE(bytes.NewReader(wire))
 	if err != nil {
@@ -39,7 +39,7 @@ func TestSSERoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, evs) {
 		t.Fatalf("round trip differs:\n got %+v\nwant %+v", got, evs)
 	}
-	if want := `{"state":"done","events":5,"dropped":0}`; string(done) != want {
+	if want := `{"state":"done","events":5}`; string(done) != want {
 		t.Fatalf("done payload %q, want %q", done, want)
 	}
 }
@@ -124,7 +124,7 @@ func FuzzSSEDecode(f *testing.F) {
 	for i, ev := range sseSample() {
 		seed = AppendSSE(seed, uint64(i), ev)
 	}
-	seed = AppendSSEDone(seed, "done", 5, 0)
+	seed = AppendSSEDone(seed, "done", 5)
 	f.Add(seed)
 	f.Add([]byte(": hb\n\nid: not-a-number\ndata: {\n\n"))
 	f.Add([]byte("id: 18446744073709551615\ndata: {\"t\":0,\"node\":0,\"ev\":\"gen\"}\n\n"))

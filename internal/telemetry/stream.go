@@ -2,87 +2,57 @@ package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // StreamTee is a Recorder that makes a running simulation's event stream
 // tailable without perturbing the run. It keeps an in-memory log that
-// pull-side readers page through by offset (ReadAt/WaitAt — the service's
-// /stream endpoint replays any suffix from any offset, so reconnects see
-// no gaps and no duplicates), and fans events out to push-side consumers
-// attached with Attach, each behind a bounded queue drained by its own
-// goroutine.
+// readers page through by offset (ReadAt/WaitAt — the service's /stream
+// endpoint replays any suffix from any offset, so reconnects see no gaps
+// and no duplicates).
 //
-// Record never blocks and never returns an error: a slow consumer's queue
-// overflowing drops events for that consumer (counted, never silently),
-// and a consumer whose Flush fails is detached. The simulation goroutine
-// only ever takes a short mutex and non-blocking channel sends, so the
-// virtual-time execution — and therefore the Results and telemetry bytes —
-// are bit-identical to an unobserved run.
+// Record never blocks on a reader and never returns an error: the
+// simulation goroutine only takes a short mutex, so the virtual-time
+// execution — and therefore the Results and telemetry bytes — are
+// bit-identical to an unobserved run.
 type StreamTee struct {
-	mu        sync.Mutex
-	events    []Event
-	closed    bool
-	max       uint64 // retained-event cap; 0 = unbounded
-	truncated uint64 // events discarded by the cap (log readers see a truncated stream)
-	waitCh    chan struct{}
-	consumers []*StreamConsumer
-	dropped   atomic.Uint64 // aggregate consumer-side drops
+	mu     sync.Mutex
+	events []Event
+	closed bool
+	waitCh chan struct{}
 }
 
 var _ Recorder = (*StreamTee)(nil)
 
-// NewStreamTee returns an open tee. maxEvents caps the retained log to
-// guard against runaway traces (appends beyond it are counted in
-// Truncated, not stored); zero means unbounded.
-func NewStreamTee(maxEvents uint64) *StreamTee {
-	return &StreamTee{max: maxEvents}
-}
+// NewStreamTee returns an open tee.
+func NewStreamTee() *StreamTee { return &StreamTee{} }
 
-// Record implements Recorder: append to the log and fan out to consumers,
-// never blocking.
+// Record implements Recorder: append to the log and wake blocked readers.
 func (t *StreamTee) Record(ev Event) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return
 	}
-	if t.max > 0 && uint64(len(t.events)) >= t.max {
-		t.truncated++
-	} else {
-		t.events = append(t.events, ev)
-		if t.waitCh != nil {
-			close(t.waitCh)
-			t.waitCh = nil
-		}
-	}
-	consumers := t.consumers
-	t.mu.Unlock()
-	for _, c := range consumers {
-		c.offer(ev)
+	t.events = append(t.events, ev)
+	if t.waitCh != nil {
+		close(t.waitCh)
+		t.waitCh = nil
 	}
 }
 
 // Close marks the end of the stream: readers blocked in WaitAt wake and
-// observe done; consumers are flushed and detached. Close is idempotent.
-// Recording after Close is a no-op.
+// observe done. Close is idempotent. Recording after Close is a no-op.
 func (t *StreamTee) Close() {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
 		return
 	}
 	t.closed = true
 	if t.waitCh != nil {
 		close(t.waitCh)
 		t.waitCh = nil
-	}
-	consumers := t.consumers
-	t.consumers = nil
-	t.mu.Unlock()
-	for _, c := range consumers {
-		c.stop()
 	}
 }
 
@@ -95,7 +65,6 @@ func (t *StreamTee) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events = t.events[:0]
-	t.truncated = 0
 	t.closed = false
 }
 
@@ -112,17 +81,6 @@ func (t *StreamTee) Closed() bool {
 	defer t.mu.Unlock()
 	return t.closed
 }
-
-// Truncated returns the number of events the retained-log cap discarded.
-func (t *StreamTee) Truncated() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.truncated
-}
-
-// Dropped returns the aggregate number of events dropped across all
-// consumers (slow queues plus events discarded at detach).
-func (t *StreamTee) Dropped() uint64 { return t.dropped.Load() }
 
 // ReadAt copies up to limit events starting at offset (limit <= 0 means
 // all available). next is the offset one past the last returned event —
@@ -169,164 +127,5 @@ func (t *StreamTee) WaitAt(offset uint64, stop <-chan struct{}, timeout time.Dur
 		return false
 	case <-timer.C:
 		return false
-	}
-}
-
-// consumerFlushStride is how many forwarded events pass between Flush
-// calls on a FileWriter-backed consumer. Flushing is what surfaces a
-// broken downstream (e.g. a disconnected socket), which detaches the
-// consumer instead of failing the job.
-const consumerFlushStride = 256
-
-// StreamConsumer is one push-side subscriber: a bounded queue drained by a
-// dedicated goroutine into the wrapped Recorder, so a slow or broken
-// consumer can never stall the simulation.
-type StreamConsumer struct {
-	tee      *StreamTee
-	rec      Recorder
-	fw       FileWriter // non-nil when rec flushes (drives the detach-on-error policy)
-	ch       chan Event
-	quit     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-	dropped  atomic.Uint64
-	broken   atomic.Bool
-}
-
-// Attach subscribes rec to every subsequent event, behind a bounded queue
-// of the given depth (<= 0 selects a default of 1024). If rec is a
-// FileWriter, it is flushed periodically and on detach; a Flush error
-// marks the consumer broken and detaches it — the run is never failed by
-// its observers. Call Detach (or Close the tee) to unsubscribe.
-func (t *StreamTee) Attach(rec Recorder, queue int) *StreamConsumer {
-	if queue <= 0 {
-		queue = 1024
-	}
-	c := &StreamConsumer{
-		tee:  t,
-		rec:  rec,
-		ch:   make(chan Event, queue),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	if fw, ok := rec.(FileWriter); ok {
-		c.fw = fw
-	}
-	go c.drain()
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		c.stop()
-		return c
-	}
-	t.consumers = append(t.consumers, c)
-	t.mu.Unlock()
-	return c
-}
-
-// offer enqueues ev without blocking; a full queue or a broken consumer
-// drops the event (counted).
-func (c *StreamConsumer) offer(ev Event) {
-	if c.broken.Load() {
-		c.dropped.Add(1)
-		c.tee.dropped.Add(1)
-		return
-	}
-	select {
-	case c.ch <- ev:
-	default:
-		c.dropped.Add(1)
-		c.tee.dropped.Add(1)
-	}
-}
-
-// drain forwards queued events to the recorder on the consumer's own
-// goroutine, flushing FileWriters on a stride and detaching on the first
-// Flush error.
-func (c *StreamConsumer) drain() {
-	defer close(c.done)
-	sinceFlush := 0
-	flush := func() bool {
-		if c.fw == nil {
-			return true
-		}
-		sinceFlush = 0
-		if err := c.fw.Flush(); err != nil {
-			c.markBroken()
-			return false
-		}
-		return true
-	}
-	for {
-		select {
-		case ev := <-c.ch:
-			c.rec.Record(ev)
-			if sinceFlush++; sinceFlush >= consumerFlushStride {
-				if !flush() {
-					return
-				}
-			}
-		case <-c.quit:
-			// Drain whatever is already queued, then a final flush.
-			for {
-				select {
-				case ev := <-c.ch:
-					c.rec.Record(ev)
-				default:
-					flush()
-					return
-				}
-			}
-		}
-	}
-}
-
-// markBroken flags the consumer so offer stops queueing, counts the
-// backlog as dropped, and removes it from the tee's fan-out list.
-func (c *StreamConsumer) markBroken() {
-	if c.broken.Swap(true) {
-		return
-	}
-	if n := uint64(len(c.ch)); n > 0 {
-		c.dropped.Add(n)
-		c.tee.dropped.Add(n)
-	}
-	c.tee.remove(c)
-}
-
-// Detach unsubscribes the consumer, waits for its queue to drain into the
-// recorder, and flushes it. Detaching twice (or after Close) is safe.
-func (c *StreamConsumer) Detach() {
-	c.tee.remove(c)
-	c.stop()
-}
-
-// stop ends the drain goroutine and waits for it.
-func (c *StreamConsumer) stop() {
-	c.stopOnce.Do(func() { close(c.quit) })
-	<-c.done
-}
-
-// Dropped returns the number of events this consumer lost to queue
-// overflow or a broken downstream.
-func (c *StreamConsumer) Dropped() uint64 { return c.dropped.Load() }
-
-// Broken reports whether the consumer was detached by a Flush error.
-func (c *StreamConsumer) Broken() bool { return c.broken.Load() }
-
-// remove deletes c from the fan-out list. Copy-on-write: Record iterates a
-// snapshot of the slice outside the lock, so the backing array must never
-// be mutated in place.
-func (t *StreamTee) remove(c *StreamConsumer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, other := range t.consumers {
-		if other == c {
-			next := make([]*StreamConsumer, 0, len(t.consumers)-1)
-			next = append(next, t.consumers[:i]...)
-			next = append(next, t.consumers[i+1:]...)
-			t.consumers = next
-			return
-		}
 	}
 }
