@@ -9,14 +9,14 @@
 //	       [-burst-bad-loss P] [-burst-good-loss P] [-burst-good-s S] [-burst-bad-s S]
 //	       [-kill-at S -kill-fraction F]
 //	dftsim [-invariants off|report|panic] [-inject-skip-sender-ftd]
-//	dftsim [-telemetry] [-trace events.jsonl] [-trace-format jsonl|binary]
+//	dftsim [-telemetry] [-trace events.jsonl]
 //	dftsim [-progress]
 //	dftsim [-snapshot state.snap [-snapshot-at S]] [-restore state.snap]
 //	dftsim [-deadline 30s]
 //	dftsim -config scenario.json [-dumpconfig]
 //
 // The defaults reproduce the paper's §5 setup; -config loads a JSON
-// scenario (see internal/scenario/configio.go for the schema), -map
+// scenario (the json tags of scenario.Config are the schema), -map
 // renders the final node positions as ASCII, and -dumpconfig prints the
 // effective configuration without simulating.
 //
@@ -39,8 +39,7 @@
 // -telemetry arms the telemetry layer (internal/telemetry): the digest
 // gains a line with histogram-derived delay percentiles and mean queue
 // occupancy / delivery probability. -trace FILE additionally streams every
-// typed trace-v2 event to FILE in the -trace-format encoding (jsonl or
-// binary) for offline analysis with dftstats.
+// typed trace-v2 event to FILE as JSONL for offline analysis with dftstats.
 //
 // -progress prints a live line to stderr about once a second: percent of
 // the virtual horizon, the kernel clock, the event rate, and a wall-clock
@@ -140,7 +139,6 @@ func run(args []string, out io.Writer) error {
 		progress    = fs.Bool("progress", false, "print a live progress line (virtual clock, % of horizon, event rate, ETA) to stderr about once a second")
 		telemetryOn = fs.Bool("telemetry", false, "collect per-run telemetry metrics and print a digest line")
 		tracePath   = fs.String("trace", "", "write typed trace-v2 events to this file (implies -telemetry)")
-		traceFormat = fs.String("trace-format", "jsonl", "trace-v2 encoding: jsonl or binary")
 
 		snapshotPath = fs.String("snapshot", "", "snapshot file to write (with -snapshot-at, or automatically on an invariant violation in report mode)")
 		snapshotAt   = fs.Float64("snapshot-at", -1, "take a quiescent snapshot at or after this virtual time (s) and keep running")
@@ -259,23 +257,17 @@ func run(args []string, out io.Writer) error {
 		cfg.Cancel = dftmsn.WallClockDeadline(*deadline)
 	}
 	var (
-		tw        telemetry.FileWriter
+		tw        *telemetry.JSONLWriter
 		traceFile *os.File
 	)
 	if *tracePath != "" {
-		format, err := telemetry.ParseFormat(*traceFormat)
-		if err != nil {
-			return err
-		}
+		var err error
 		traceFile, err = os.Create(*tracePath)
 		if err != nil {
 			return err
 		}
 		defer traceFile.Close() // backstop; the happy path closes explicitly
-		tw, err = telemetry.NewWriter(traceFile, format, 0)
-		if err != nil {
-			return err
-		}
+		tw = telemetry.NewJSONL(traceFile)
 		cfg.Recorder = tw
 	}
 	if *dumpConfig {
@@ -372,7 +364,7 @@ func run(args []string, out io.Writer) error {
 		res.Delivery.AvgDelaySeconds, res.Delivery.MedianDelaySeconds,
 		res.Delivery.P90DelaySeconds, res.Delivery.MaxDelaySeconds)
 	fmt.Fprintf(out, "avg nodal power   %.3f mW (duty cycle %.1f%%)\n", res.AvgSensorPowerMW, res.AvgDutyCycle*100)
-	if cfg.Faults.Enabled() || cfg.FailFraction > 0 {
+	if cfg.Faults.Enabled() {
 		r := res.Resilience
 		fmt.Fprintf(out, "resilience        %d crashes, %d recoveries, %d sink outages\n",
 			r.Crashes, r.Recoveries, r.SinkOutages)
@@ -402,7 +394,7 @@ func run(args []string, out io.Writer) error {
 			m.DeliveryDelay.Quantile(0.5), m.DeliveryDelay.Quantile(0.9),
 			m.QueueOccupancy.Mean(), m.Xi.Mean())
 		if tw != nil {
-			fmt.Fprintf(out, "trace v2          %d events -> %s (%s)\n", tw.Events(), *tracePath, *traceFormat)
+			fmt.Fprintf(out, "trace v2          %d events -> %s (jsonl)\n", tw.Events(), *tracePath)
 		}
 	}
 	if *verbose {

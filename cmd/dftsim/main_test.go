@@ -357,8 +357,8 @@ func TestRunWithProfiles(t *testing.T) {
 }
 
 // TestRunWithTelemetry drives -telemetry and -trace: the digest gains the
-// telemetry lines, the trace file decodes as trace v2 in both encodings,
-// and a telemetry-armed run prints the same physics digest as a plain one.
+// telemetry lines, the trace file decodes as trace v2, and a
+// telemetry-armed run prints the same physics digest as a plain one.
 func TestRunWithTelemetry(t *testing.T) {
 	base := []string{"-scheme", "OPT", "-sensors", "15", "-sinks", "2",
 		"-duration", "300", "-seed", "5"}
@@ -366,37 +366,30 @@ func TestRunWithTelemetry(t *testing.T) {
 	if err := run(base, &plain); err != nil {
 		t.Fatal(err)
 	}
-	for _, format := range []string{"jsonl", "binary"} {
-		path := filepath.Join(t.TempDir(), "trace."+format)
-		var sb strings.Builder
-		args := append(append([]string{}, base...),
-			"-telemetry", "-trace", path, "-trace-format", format)
-		if err := run(args, &sb); err != nil {
-			t.Fatal(err)
-		}
-		out := sb.String()
-		for _, want := range []string{"telemetry", "delay p50", "trace v2"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("%s digest missing %q:\n%s", format, want, out)
-			}
-		}
-		// Telemetry must not change the simulated physics.
-		trim := func(s string) string {
-			return s[strings.Index(s, "generated"):strings.Index(s, "telemetry")]
-		}
-		if got, want := trim(out), plain.String()[strings.Index(plain.String(), "generated"):]; got != want {
-			t.Errorf("%s: telemetry perturbed the digest:\n%s\n---\n%s", format, got, want)
-		}
-		events, err := telemetry.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		if len(events) == 0 {
-			t.Fatalf("%s: empty trace", format)
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	var sb strings.Builder
+	args := append(append([]string{}, base...), "-telemetry", "-trace", path)
+	if err := run(args, &sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"telemetry", "delay p50", "trace v2"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("digest missing %q:\n%s", want, out)
 		}
 	}
-	var sb strings.Builder
-	if err := run(append(append([]string{}, base...), "-trace", "x", "-trace-format", "nope"), &sb); err == nil {
-		t.Error("bad trace format accepted")
+	// Telemetry must not change the simulated physics.
+	trim := func(s string) string {
+		return s[strings.Index(s, "generated"):strings.Index(s, "telemetry")]
+	}
+	if got, want := trim(out), plain.String()[strings.Index(plain.String(), "generated"):]; got != want {
+		t.Errorf("telemetry perturbed the digest:\n%s\n---\n%s", got, want)
+	}
+	events, err := telemetry.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Fatal("empty trace")
 	}
 }

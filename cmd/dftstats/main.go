@@ -6,16 +6,15 @@
 // Usage:
 //
 //	dftstats trace.jsonl                 overview + percentile table
-//	dftstats -nodes trace.bin            per-node activity summary
+//	dftstats -nodes trace.jsonl          per-node activity summary
 //	dftstats -msg 17 trace.jsonl         custody chain of message 17
 //	dftstats -series - trace.jsonl       CSV time series to stdout
 //	dftstats -series s.csv -interval 50 trace.jsonl
 //
-// Both trace-v2 encodings (JSONL and binary) are auto-detected. The
-// custody chain of a message is the chronological flattening of its
-// replication tree: generation, every transmission and kept/discarded
-// reception, FTD updates at senders, drops with their rule, and the
-// first sink delivery.
+// Traces are JSONL, the only trace-v2 encoding. The custody chain of a
+// message is the chronological flattening of its replication tree:
+// generation, every transmission and kept/discarded reception, FTD updates
+// at senders, drops with their rule, and the first sink delivery.
 package main
 
 import (

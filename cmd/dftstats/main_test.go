@@ -14,17 +14,14 @@ import (
 // makeTrace runs a small simulation with a deliberately tight queue (so
 // drops occur) and writes its trace-v2 file, returning the path and the
 // decoded events.
-func makeTrace(t *testing.T, format telemetry.Format) (string, []telemetry.Event) {
+func makeTrace(t *testing.T) (string, []telemetry.Event) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "trace."+string(format))
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := telemetry.NewWriter(f, format, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := telemetry.NewJSONL(f)
 	cfg := dftmsn.DefaultConfig(dftmsn.OPT)
 	cfg.NumSensors = 15
 	cfg.NumSinks = 2
@@ -54,7 +51,7 @@ func makeTrace(t *testing.T, format telemetry.Format) (string, []telemetry.Event
 // dftstats reconstructs the full custody chain of a delivered message and
 // of a dropped one.
 func TestCustodyChains(t *testing.T) {
-	path, events := makeTrace(t, telemetry.FormatJSONL)
+	path, events := makeTrace(t)
 	ledger := telemetry.BuildLedger(events)
 	var delivered, dropped *telemetry.Custody
 	for _, id := range ledger.IDs() {
@@ -139,78 +136,71 @@ messages: 2 tracked, 1 delivered, 1 dropped, 0 rejected, 0 in-flight
 `
 
 // readGolden pins the overview's count and message-fate lines on a fixed
-// event stream, for both encodings.
+// event stream.
 func readGolden(t *testing.T) {
-	for _, format := range []telemetry.Format{telemetry.FormatJSONL, telemetry.FormatBinary} {
-		path := filepath.Join(t.TempDir(), "fixture."+string(format))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := telemetry.NewWriter(f, format, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range fixtureEvents() {
-			w.Record(ev)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		if err := run([]string{path}, &sb); err != nil {
-			t.Fatal(err)
-		}
-		if got := sb.String(); !strings.HasPrefix(got, fixtureOverview) {
-			t.Errorf("%s fixture overview drifted\n--- got ---\n%s--- want prefix ---\n%s", format, got, fixtureOverview)
-		}
+	path := filepath.Join(t.TempDir(), "fixture.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := telemetry.NewJSONL(f)
+	for _, ev := range fixtureEvents() {
+		w.Record(ev)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{path}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); !strings.HasPrefix(got, fixtureOverview) {
+		t.Errorf("fixture overview drifted\n--- got ---\n%s--- want prefix ---\n%s", got, fixtureOverview)
 	}
 }
 
 // TestOverviewAndNodes pins the overview of a fixed event stream exactly,
 // then checks the default and -nodes outputs against a simulated run's
-// decoded events, for both encodings.
+// decoded events.
 func TestOverviewAndNodes(t *testing.T) {
 	t.Run("ReadGolden", readGolden)
-	for _, format := range []telemetry.Format{telemetry.FormatJSONL, telemetry.FormatBinary} {
-		path, events := makeTrace(t, format)
-		var delivers int
-		for _, ev := range events {
-			if ev.Type == telemetry.EvDeliver {
-				delivers++
-			}
+	path, events := makeTrace(t)
+	var delivers int
+	for _, ev := range events {
+		if ev.Type == telemetry.EvDeliver {
+			delivers++
 		}
-		var sb strings.Builder
-		if err := run([]string{path}, &sb); err != nil {
-			t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{path}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"events over", "messages:", "delivery delay percentiles", "p50", "drops:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("overview missing %q:\n%s", want, out)
 		}
-		out := sb.String()
-		for _, want := range []string{"events over", "messages:", "delivery delay percentiles", "p50", "drops:"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("%s overview missing %q:\n%s", format, want, out)
-			}
-		}
-		if !strings.Contains(out, itoa(uint64(delivers))+" deliveries") {
-			t.Errorf("%s overview delivery count mismatch (want %d):\n%s", format, delivers, out)
-		}
+	}
+	if !strings.Contains(out, itoa(uint64(delivers))+" deliveries") {
+		t.Errorf("overview delivery count mismatch (want %d):\n%s", delivers, out)
+	}
 
-		sb.Reset()
-		if err := run([]string{"-nodes", path}, &sb); err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-		if len(lines) < 10 || !strings.HasPrefix(lines[0], "node") {
-			t.Errorf("%s nodes table malformed:\n%s", format, sb.String())
-		}
+	sb.Reset()
+	if err := run([]string{"-nodes", path}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) < 10 || !strings.HasPrefix(lines[0], "node") {
+		t.Errorf("nodes table malformed:\n%s", sb.String())
 	}
 }
 
 // TestSeriesCSV checks the -series output shape and monotonicity.
 func TestSeriesCSV(t *testing.T) {
-	path, _ := makeTrace(t, telemetry.FormatJSONL)
+	path, _ := makeTrace(t)
 	out := filepath.Join(t.TempDir(), "series.csv")
 	var sb strings.Builder
 	if err := run([]string{"-series", out, "-interval", "30", path}, &sb); err != nil {

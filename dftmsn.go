@@ -106,9 +106,9 @@ func New(cfg Config) (*Sim, error) { return scenario.New(cfg) }
 // ("OPT", "noopt", "ZBR", ...).
 func ParseScheme(name string) (Scheme, error) { return scenario.ParseScheme(name) }
 
-// LoadConfig reads a JSON scenario configuration; omitted fields take the
-// paper defaults for the named scheme. See internal/scenario/configio.go
-// for the schema.
+// LoadConfig reads a JSON scenario configuration: absent keys keep the
+// paper defaults, and present keys are taken literally. The schema is the
+// json tags of scenario.Config.
 func LoadConfig(r io.Reader) (Config, error) { return scenario.LoadConfig(r) }
 
 // SaveConfig writes cfg's serialisable subset as indented JSON.
@@ -155,7 +155,7 @@ type (
 // Telemetry re-exports: set Config.Telemetry to collect a per-run metrics
 // registry (histograms, counters, sampled gauges) into Result.Telemetry,
 // and attach a TelemetryRecorder to Config.Recorder to stream every typed
-// trace-v2 event (use NewTraceWriter for the file encodings). A
+// trace-v2 event (use NewTraceWriter for a JSONL file). A
 // TelemetryLedger rebuilds per-message custody chains from a recorded
 // stream; cmd/dftstats is the command-line face of the same machinery.
 type (
@@ -167,18 +167,13 @@ type (
 	TelemetryReport = telemetry.Report
 	// TelemetryLedger indexes a trace by message, giving custody chains.
 	TelemetryLedger = telemetry.Ledger
-	// TraceFormat names a trace-v2 file encoding ("jsonl" or "binary").
-	TraceFormat = telemetry.Format
 )
 
-// NewTraceWriter returns a recorder streaming trace-v2 events into w in
-// the given encoding; cap the stream with maxEvents (0 = unlimited). Call
-// Flush before closing w.
-func NewTraceWriter(w io.Writer, format TraceFormat, maxEvents uint64) (telemetry.FileWriter, error) {
-	return telemetry.NewWriter(w, format, maxEvents)
-}
+// NewTraceWriter returns a recorder streaming trace-v2 events into w as
+// JSONL. Call Flush before closing w.
+func NewTraceWriter(w io.Writer) *telemetry.JSONLWriter { return telemetry.NewJSONL(w) }
 
-// ReadTrace decodes a trace-v2 file, auto-detecting the encoding.
+// ReadTrace decodes a JSONL trace-v2 file.
 func ReadTrace(path string) ([]TelemetryEvent, error) { return telemetry.ReadFile(path) }
 
 // BuildLedger reconstructs per-message custody chains from a trace-v2

@@ -701,10 +701,9 @@ type warmShrinkState struct {
 // config under the failing seed, keeping only the plan's burst clause — to
 // 80% of the way to the first discrete fault and snapshots there. Returns
 // nil (cold shrinking) when the plan has no discrete faults to stop before,
-// when the base folds in legacy fail fields the substitution would drop, or
-// when no quiescent instant lands strictly before the first fault.
+// or when no quiescent instant lands strictly before the first fault.
 func (c Campaign) warmCheckpoint(f Failure, stats *ShrinkStats, cancel func() bool) *warmShrinkState {
-	if c.noWarmShrink || c.Base.FailFraction != 0 || c.Base.FailAtSeconds != 0 {
+	if c.noWarmShrink {
 		return nil
 	}
 	ff, ok := (&f.Plan).FirstFaultSeconds()

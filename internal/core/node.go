@@ -71,15 +71,18 @@ type Params struct {
 	// EagerDecay forces the per-node decay ticker even for strategies that
 	// support lazy closed-form decay, and disables idle-cycle coalescing —
 	// the control arm for the event-elision differential tests, mirroring
-	// radio.Config.LinearScan.
-	EagerDecay bool
+	// radio.Config.LinearScan. Set from scenario.Config.EagerDecay, so it
+	// is not part of the config encoding.
+	EagerDecay bool `json:"-"`
 
 	// BatteryJoules is the node's energy budget; once its radio has
 	// consumed this much the node dies (radio permanently off). Zero
 	// means unlimited — the paper's evaluation does not exhaust
 	// batteries, but lifetime is its §4.1 motivation, so the budget is
-	// provided as an extension (see the lifetime experiment).
-	BatteryJoules float64
+	// provided as an extension (see the lifetime experiment). Set from
+	// scenario.Config.BatteryJoules, so it is not part of the config
+	// encoding.
+	BatteryJoules float64 `json:"-"`
 }
 
 // Validate reports parameter errors.

@@ -180,9 +180,8 @@ func (in *Injector) Arm() error {
 	}
 	in.armed = true
 	// Order matters for determinism: churn consumes per-node streams from
-	// in.rng at arm time; kills draw from in.rng at fire time. A plan that
-	// only contains kills therefore reproduces the legacy one-shot draw
-	// sequence exactly.
+	// in.rng at arm time; kills draw from in.rng at fire time, so a plan
+	// that only contains kills draws its victims from an untouched stream.
 	if c := in.plan.Churn; c != nil {
 		if err := in.armChurn(c); err != nil {
 			return err
@@ -346,8 +345,7 @@ func (in *Injector) bringSinkUp(i int) {
 }
 
 // fireKill permanently fails a sensor fraction. The victim permutation is
-// drawn at fire time from the injector stream, matching the legacy
-// scenario FailFraction draw order.
+// drawn at fire time from the injector stream.
 func (in *Injector) fireKill(k Kill) {
 	perm := in.rng.Perm(len(in.sensors))
 	kill := int(k.Fraction * float64(len(in.sensors)))

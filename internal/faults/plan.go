@@ -18,11 +18,11 @@
 //   - Gilbert–Elliott burst loss: a two-state (good/bad) channel loss
 //     process layered on the radio medium, complementing the existing
 //     uniform i.i.d. loss (see radio.Medium.SetBurstLoss).
-//   - Kills: one-shot burst failures of a sensor fraction at a fixed time,
-//     subsuming the legacy scenario FailFraction/FailAtSeconds pair.
+//   - Kills: one-shot burst failures of a sensor fraction at a fixed time
+//     (the fault the paper's redundancy tolerates).
 //
 // Plans are plain data with JSON tags, so they round-trip through the
-// scenario config files (internal/scenario/configio.go).
+// scenario config files (the "faults" key of scenario.Config).
 package faults
 
 import (

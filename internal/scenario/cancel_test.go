@@ -29,10 +29,7 @@ func cancelTestConfig() Config {
 func runTraced(t *testing.T, cfg Config, cancelAfter int) ([]byte, Result, error) {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := telemetry.NewWriter(&buf, telemetry.FormatJSONL, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := telemetry.NewJSONL(&buf)
 	cfg.Recorder = w
 	cfg.Telemetry = true
 	if cancelAfter > 0 {
@@ -108,12 +105,18 @@ func TestCancelBeforeFirstEvent(t *testing.T) {
 // checkpoint stepping loop, and that the partial result still surfaces.
 func TestCancelDuringCheckpointing(t *testing.T) {
 	cfg := cancelTestConfig()
-	cfg.CheckpointEvery = 100
 	calls := 0
 	cfg.Cancel = func() bool { calls++; return calls > 3 }
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var chkErr error
+	for k := 100.0; k < cfg.DurationSeconds && chkErr == nil; k += 100 {
+		_, chkErr = s.CheckpointAt(k)
+	}
+	if !errors.Is(chkErr, sim.ErrCancelled) {
+		t.Fatalf("CheckpointAt = %v, want sim.ErrCancelled", chkErr)
 	}
 	res, runErr := s.Run()
 	if !errors.Is(runErr, sim.ErrCancelled) {

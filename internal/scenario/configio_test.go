@@ -30,8 +30,7 @@ func TestLoadConfigOverrides(t *testing.T) {
 		"sinks": 2,
 		"duration_s": 1234,
 		"loss_prob": 0.1,
-		"fail_fraction": 0.2,
-		"fail_at_s": 500,
+		"faults": {"kills": [{"at_s": 500, "fraction": 0.2}]},
 		"mobile_sinks": true,
 		"seed": 99
 	}`
@@ -45,8 +44,83 @@ func TestLoadConfigOverrides(t *testing.T) {
 	if cfg.DurationSeconds != 1234 || cfg.LossProb != 0.1 || !cfg.MobileSinks {
 		t.Fatalf("cfg %+v", cfg)
 	}
-	if cfg.FailFraction != 0.2 || cfg.FailAtSeconds != 500 || cfg.Seed != 99 {
+	if k := cfg.Faults.Kills; len(k) != 1 || k[0].Fraction != 0.2 || k[0].AtSeconds != 500 || cfg.Seed != 99 {
 		t.Fatalf("cfg %+v", cfg)
+	}
+}
+
+// TestConfigRoundTrip pins that the canonical encoding carries every
+// serialisable setting: decoding what EncodeConfig wrote gives back the
+// same Config, including zeros that are valid but not the default.
+func TestConfigRoundTrip(t *testing.T) {
+	params := core.DefaultParams(core.SchemeZBR)
+	params.CollisionTarget = 0.07
+	params.NeighborTTL = 45
+	full := Config{
+		Scheme:              core.SchemeZBR,
+		NumSensors:          37,
+		NumSinks:            2,
+		FieldSize:           120,
+		ZonesPerSide:        4,
+		MaxSpeed:            3.5,
+		ExitProb:            0.35,
+		RangeM:              12,
+		BitrateBps:          20_000,
+		ControlBits:         60,
+		DataBits:            800,
+		QueueCapacity:       50,
+		ArrivalMeanSeconds:  90,
+		DurationSeconds:     3000,
+		TrafficStopSeconds:  2500,
+		MobilityTickSeconds: 0.5,
+		BatteryJoules:       40,
+		MobileSinks:         true,
+		LossProb:            0.02,
+		Faults: &faults.Plan{
+			Churn:       &faults.Churn{MTBFSeconds: 800, MTTRSeconds: 200, Fraction: 0.3},
+			SinkOutages: []faults.Outage{{Sink: 1, StartSeconds: 500, DurationSeconds: 250}},
+			Burst:       &faults.Burst{GoodLossProb: 0.01, BadLossProb: 0.7, MeanGoodSeconds: 90, MeanBadSeconds: 30},
+			Kills:       []faults.Kill{{AtSeconds: 2000, Fraction: 0.1}},
+		},
+		Seed:                77,
+		LinearMedium:        true,
+		EagerDecay:          true,
+		DeliveryThreshold:   0.8,
+		DropThreshold:       0.9,
+		Invariants:          "report",
+		InjectSkipSenderFTD: true,
+		Telemetry:           true,
+		Params:              &params,
+	}
+	// Every serialised field must be set away from its default above, so a
+	// field added to Config without joining this case fails here.
+	def := reflect.ValueOf(DefaultConfig(core.SchemeOPT))
+	typ := def.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Tag.Get("json") == "-" {
+			continue
+		}
+		if reflect.DeepEqual(reflect.ValueOf(full).Field(i).Interface(), def.Field(i).Interface()) {
+			t.Errorf("field %s is left at its default; set it in this test", typ.Field(i).Name)
+		}
+	}
+
+	zeros := DefaultConfig(core.SchemeOPT)
+	zeros.Seed = 0
+	zeros.ExitProb = 0
+
+	for name, cfg := range map[string]Config{"full": full, "zeros": zeros} {
+		blob, err := EncodeConfig(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		back, err := DecodeConfig(blob)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, blob)
+		}
+		if !reflect.DeepEqual(back, cfg) {
+			t.Errorf("%s: round trip changed the config:\nwant %+v\ngot  %+v\n%s", name, cfg, back, blob)
+		}
 	}
 }
 
@@ -58,6 +132,7 @@ func TestLoadConfigRejectsBadInput(t *testing.T) {
 		`{"scheme": "OPT", "sensors": -5}`,  // invalid value
 		`{"scheme": "OPT", "loss_prob": 2}`, // out of range
 		`{}`,                                // missing scheme
+		`{"scheme": "OPT", "params": {"BatteryJoules": 5}}`, // set from Config, not params
 	}
 	for _, doc := range cases {
 		if _, err := LoadConfig(strings.NewReader(doc)); err == nil {
@@ -129,7 +204,7 @@ func TestLoadConfigRejectsBadFaultPlan(t *testing.T) {
 		`{"scheme": "OPT", "faults": {"kills": [{"at_s": 99999, "fraction": 0.5}]}}`,                           // beyond the run
 		`{"scheme": "OPT", "faults": {"kills": [{"at_s": 100, "fraction": 1.5}]}}`,                             // fraction > 1
 		`{"scheme": "OPT", "faults": {"churns": {}}}`,                                                          // typo (unknown field)
-		`{"scheme": "OPT", "fail_fraction": 0.5, "fail_at_s": 30000}`,                                          // legacy burst beyond the run
+		`{"scheme": "OPT", "fail_fraction": 0.5, "fail_at_s": 500}`,                                            // removed keys (unknown fields)
 	}
 	for _, doc := range cases {
 		if _, err := LoadConfig(strings.NewReader(doc)); err == nil {
@@ -165,7 +240,7 @@ func TestSaveLoadRoundTripFaultPlan(t *testing.T) {
 func FuzzLoadConfig(f *testing.F) {
 	seeds := []string{
 		`{"scheme": "opt"}`,
-		`{"scheme": "ZBR", "sensors": 42, "fail_fraction": 0.2, "fail_at_s": 500}`,
+		`{"scheme": "ZBR", "sensors": 42, "faults": {"kills": [{"at_s": 500, "fraction": 0.2}]}}`,
 		`{"scheme": "OPT", "faults": {"churn": {"mtbf_s": 500, "mttr_s": 100}}}`,
 		`{"scheme": "OPT", "faults": {"sink_outages": [{"sink": -1, "start_s": 1, "duration_s": 1}]}}`,
 		`{"scheme": "OPT", "faults": {"burst_loss": {"bad_loss_prob": 0.9, "mean_good_s": 6e1, "mean_bad_s": 2}}}`,

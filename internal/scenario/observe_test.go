@@ -19,7 +19,7 @@ import (
 func encodeJSONL(t *testing.T, evs []telemetry.Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := telemetry.NewJSONL(&buf, 0)
+	w := telemetry.NewJSONL(&buf)
 	for _, ev := range evs {
 		w.Record(ev)
 	}

@@ -186,17 +186,17 @@ func RestoreForPlan(snap *snapshot.Snapshot, plan *faults.Plan, customize ...fun
 	if err != nil {
 		return nil, err
 	}
-	origPlan := cfg.faultPlan()
-	var newPlan faults.Plan
-	if plan != nil {
-		newPlan = *plan
+	var origBurst, newBurst *faults.Burst
+	if cfg.Faults != nil {
+		origBurst = cfg.Faults.Burst
 	}
-	if !reflect.DeepEqual(origPlan.Burst, newPlan.Burst) {
+	if plan != nil {
+		newBurst = plan.Burst
+	}
+	if !reflect.DeepEqual(origBurst, newBurst) {
 		return nil, errors.New("scenario: restored plan must keep the snapshot's burst-loss clause")
 	}
 	cfg.Faults = plan
-	cfg.FailFraction = 0
-	cfg.FailAtSeconds = 0
 	for _, f := range customize {
 		f(&cfg)
 	}

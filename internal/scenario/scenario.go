@@ -24,120 +24,112 @@ import (
 	"dftmsn/internal/routing"
 	"dftmsn/internal/sim"
 	"dftmsn/internal/simrand"
-	"dftmsn/internal/snapshot"
 	"dftmsn/internal/telemetry"
 )
 
 // Config describes one simulation run. DefaultConfig returns the paper's
 // defaults; zero values are rejected by Validate, not defaulted silently.
+//
+// Config is its own JSON schema (see configio.go): the json tags name each
+// setting's key, and the runtime-only attachments are tagged "-". The field
+// order is the key order of the canonical encoding, which snapshots embed
+// and cache keys hash: moving a serialised field changes those bytes.
 type Config struct {
-	// Scheme selects the protocol variant.
-	Scheme core.Scheme
+	// Scheme selects the protocol variant. The encoding writes it by name
+	// (see configio.go).
+	Scheme core.Scheme `json:"-"`
 	// NumSensors is the wearable sensor count (paper: 100).
-	NumSensors int
+	NumSensors int `json:"sensors,omitempty"`
 	// NumSinks is the sink count (paper default: 3).
-	NumSinks int
+	NumSinks int `json:"sinks,omitempty"`
 	// FieldSize is the square field edge in metres (paper: 150).
-	FieldSize float64
+	FieldSize float64 `json:"field_size_m,omitempty"`
 	// ZonesPerSide partitions the field (paper: 5, i.e. 25 zones).
-	ZonesPerSide int
+	ZonesPerSide int `json:"zones_per_side,omitempty"`
 	// MaxSpeed is the sensor speed bound in m/s (paper: 5).
-	MaxSpeed float64
-	// ExitProb is the zone-exit probability (paper: 0.2).
-	ExitProb float64
+	MaxSpeed float64 `json:"max_speed_mps,omitempty"`
+	// ExitProb is the zone-exit probability (paper: 0.2). Zero is valid
+	// and not the default, so it is always encoded.
+	ExitProb float64 `json:"exit_prob"`
 	// RangeM is the radio range in metres (paper: 10).
-	RangeM float64
+	RangeM float64 `json:"range_m,omitempty"`
 	// BitrateBps is the channel rate (paper: 10 kbps).
-	BitrateBps float64
+	BitrateBps float64 `json:"bitrate_bps,omitempty"`
 	// ControlBits and DataBits are the frame sizes (paper: 50 / 1000).
-	ControlBits int
-	DataBits    int
+	ControlBits int `json:"control_bits,omitempty"`
+	DataBits    int `json:"data_bits,omitempty"`
 	// QueueCapacity is the sensor buffer in messages (paper: 200).
-	QueueCapacity int
+	QueueCapacity int `json:"queue_capacity,omitempty"`
 	// ArrivalMeanSeconds is the Poisson data inter-arrival mean (paper:
 	// 120 s).
-	ArrivalMeanSeconds float64
+	ArrivalMeanSeconds float64 `json:"arrival_mean_s,omitempty"`
 	// DurationSeconds is the simulated time (paper: 25 000 s).
-	DurationSeconds float64
+	DurationSeconds float64 `json:"duration_s,omitempty"`
 	// TrafficStopSeconds optionally stops message generation before the
 	// horizon so in-flight messages can drain (0 = generate throughout,
 	// the paper's setting).
-	TrafficStopSeconds float64
+	TrafficStopSeconds float64 `json:"traffic_stop_s,omitempty"`
 	// MobilityTickSeconds is the position-update granularity.
-	MobilityTickSeconds float64
+	MobilityTickSeconds float64 `json:"mobility_tick_s,omitempty"`
 	// BatteryJoules bounds each sensor's energy; a sensor dies (radio
 	// permanently off) once its radio has consumed this much. Zero means
 	// unlimited, the paper's setting. Sinks are mains/high-end powered
 	// and never bounded.
-	BatteryJoules float64
+	BatteryJoules float64 `json:"battery_j,omitempty"`
 	// MobileSinks makes the sinks move under the same zone-based model as
 	// the sensors, modelling the paper's alternative deployment where
 	// high-end nodes are "carried by a subset of people" instead of
 	// standing at strategic locations.
-	MobileSinks bool
+	MobileSinks bool `json:"mobile_sinks,omitempty"`
 	// LossProb corrupts each reception independently with this
 	// probability (fading/interference beyond collisions). Zero disables.
-	LossProb float64
-	// FailFraction kills this share of sensors at FailAtSeconds (their
-	// queues die with them) — the fault the paper's redundancy tolerates.
-	// Zero disables.
-	FailFraction float64
-	// FailAtSeconds is when the failure burst strikes.
-	FailAtSeconds float64
-	// Faults optionally injects richer faults: node churn, sink outages,
-	// Gilbert–Elliott burst loss, and additional kill bursts (see
-	// internal/faults). The legacy FailFraction/FailAtSeconds pair is
-	// folded into the plan as a one-shot kill, so the two compose.
-	Faults *faults.Plan
-	// Seed makes the run reproducible.
-	Seed uint64
+	LossProb float64 `json:"loss_prob,omitempty"`
+	// Faults optionally injects faults: kill bursts (the fault the paper's
+	// redundancy tolerates), node churn, sink outages, and Gilbert–Elliott
+	// burst loss (see internal/faults).
+	Faults *faults.Plan `json:"faults,omitempty"`
+	// Seed makes the run reproducible. Zero is a valid seed and not the
+	// default, so it is always encoded.
+	Seed uint64 `json:"seed"`
 	// LinearMedium runs the radio medium with its O(N) linear scans
 	// instead of the uniform-grid spatial index. The two are verified
 	// equivalent (bit-identical results); this is the control arm for the
 	// differential test and the scale benchmarks. Leave it false.
-	LinearMedium bool
+	LinearMedium bool `json:"linear_medium,omitempty"`
 	// EagerDecay runs the nodes with per-node decay tickers and per-cycle
 	// MAC events instead of the event-elision engine (lazy closed-form ξ
 	// decay, coalesced idle spans). The two are verified equivalent
 	// (bit-identical results and telemetry); this is the control arm for
 	// the differential tests and the scale benchmarks. Leave it false.
-	EagerDecay bool
+	EagerDecay bool `json:"eager_decay,omitempty"`
 	// Recorder optionally receives the run's typed trace-v2 events (nil =
-	// none). Attach a telemetry.JSONLWriter/BinaryWriter for files, a
-	// telemetry.Buffer for in-memory analysis, or any custom Recorder;
-	// compose several with telemetry.Combine.
-	Recorder telemetry.Recorder
-	// Telemetry arms the per-run metrics registry (counters, the §5
-	// distributional histograms) and the periodic time-series sampler; the
-	// report lands in Result.Telemetry.
-	Telemetry bool
-	// TelemetrySampleSeconds is the sampler interval in virtual seconds
-	// (0 = DurationSeconds/100).
-	TelemetrySampleSeconds float64
-	// Params optionally overrides the scheme's node parameters; nil uses
-	// core.DefaultParams(Scheme).
-	Params *core.Params
+	// none). Attach a telemetry.JSONLWriter for files, a telemetry.Buffer
+	// for in-memory analysis, or any custom Recorder; compose several with
+	// telemetry.Combine. Runtime-only.
+	Recorder telemetry.Recorder `json:"-"`
 	// DeliveryThreshold overrides R of §3.2.2 for the FAD-family schemes
 	// (0 keeps the default 0.9).
-	DeliveryThreshold float64
+	DeliveryThreshold float64 `json:"delivery_threshold,omitempty"`
 	// DropThreshold overrides the §3.1.2 FTD drop bound (0 keeps 0.95).
-	DropThreshold float64
+	DropThreshold float64 `json:"drop_threshold,omitempty"`
 	// Invariants arms the runtime protocol-invariant engine
 	// (internal/invariants): "" or "off" disables it, "report" records
 	// breaches into the metrics, "panic" panics at the first breach with
 	// the offending event's virtual-time context.
-	Invariants string
+	Invariants string `json:"invariants,omitempty"`
 	// InjectSkipSenderFTD deliberately breaks the Eq. 3 sender-FTD update
 	// in the FAD-family schemes — a known-bad build for validating that the
 	// invariant engine and the chaos harness actually catch protocol rot.
 	// Never enable it in a real experiment.
-	InjectSkipSenderFTD bool
-	// CheckpointEvery takes a full-state snapshot at (approximately) this
-	// virtual-time period; the snapshots land in Result.Checkpoints. Each
-	// checkpoint is taken at the first quiescent instant at or after its
-	// grid point, so the continued run is bit-identical to an
-	// uncheckpointed one. Zero disables.
-	CheckpointEvery float64
+	InjectSkipSenderFTD bool `json:"inject_skip_sender_ftd,omitempty"`
+	// Telemetry arms the per-run metrics registry (counters, the §5
+	// distributional histograms) and the periodic time-series sampler,
+	// which snapshots every DurationSeconds/100; the report lands in
+	// Result.Telemetry.
+	Telemetry bool `json:"telemetry,omitempty"`
+	// Params optionally overrides the scheme's node parameters; nil uses
+	// core.DefaultParams(Scheme).
+	Params *core.Params `json:"params,omitempty"`
 	// Cancel optionally installs a cooperative cancellation probe on the
 	// kernel (see sim.SetCancel): consulted between events, and when it
 	// returns true the run stops with an error wrapping sim.ErrCancelled
@@ -148,7 +140,7 @@ type Config struct {
 	// uncancelled run. Runtime-only, like Recorder: excluded from the
 	// config encoding, so arming a deadline never changes a cache key or a
 	// snapshot. Typical probes are wall-clock deadlines (WallClockDeadline).
-	Cancel func() bool
+	Cancel func() bool `json:"-"`
 	// OnProgress optionally receives live Progress snapshots while the run
 	// executes, sampled on the kernel's CancelStride probe and throttled to
 	// ProgressEvery of wall clock, plus one final snapshot (Done=true) when
@@ -159,10 +151,10 @@ type Config struct {
 	// progress reporting never changes a cache key or a snapshot, and the
 	// run's Results and telemetry bytes are bit-identical to an unobserved
 	// run's.
-	OnProgress func(Progress)
+	OnProgress func(Progress) `json:"-"`
 	// ProgressEvery is the minimum wall-clock interval between OnProgress
 	// calls (0 = 1s). Runtime-only.
-	ProgressEvery time.Duration
+	ProgressEvery time.Duration `json:"-"`
 }
 
 // Progress is a live snapshot of a running simulation, delivered through
@@ -247,23 +239,11 @@ func (c Config) Validate() error {
 	if c.TrafficStopSeconds < 0 || c.TrafficStopSeconds > c.DurationSeconds {
 		return fmt.Errorf("scenario: traffic stop %v outside [0, duration]", c.TrafficStopSeconds)
 	}
-	if c.TelemetrySampleSeconds < 0 {
-		return fmt.Errorf("scenario: telemetry sample interval %v must be >= 0", c.TelemetrySampleSeconds)
-	}
 	if c.BatteryJoules < 0 {
 		return fmt.Errorf("scenario: battery %v must be >= 0", c.BatteryJoules)
 	}
 	if c.LossProb < 0 || c.LossProb > 1 {
 		return fmt.Errorf("scenario: loss probability %v out of [0,1]", c.LossProb)
-	}
-	if c.FailFraction < 0 || c.FailFraction > 1 {
-		return fmt.Errorf("scenario: fail fraction %v out of [0,1]", c.FailFraction)
-	}
-	if c.FailFraction > 0 && c.FailAtSeconds <= 0 {
-		return fmt.Errorf("scenario: FailAtSeconds must be positive when failures are enabled")
-	}
-	if c.FailFraction > 0 && c.FailAtSeconds > c.DurationSeconds {
-		return fmt.Errorf("scenario: FailAtSeconds %v is beyond the %v s run; the failure would never fire", c.FailAtSeconds, c.DurationSeconds)
 	}
 	if err := c.Faults.Validate(c.DurationSeconds, c.NumSinks); err != nil {
 		return err
@@ -276,9 +256,6 @@ func (c Config) Validate() error {
 	}
 	if _, err := invariants.ParseMode(c.Invariants); err != nil {
 		return fmt.Errorf("scenario: %w", err)
-	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("scenario: checkpoint interval %v must be >= 0", c.CheckpointEvery)
 	}
 	return nil
 }
@@ -333,10 +310,6 @@ type Result struct {
 	// when Config.Telemetry was set; nil otherwise. Excluded from JSON
 	// digests — tools print it through cmd/dftstats and the sweep CSV.
 	Telemetry *telemetry.Report `json:"-"`
-	// Checkpoints holds the periodic snapshots taken when
-	// Config.CheckpointEvery was set; nil otherwise. Excluded from JSON
-	// digests — persist them with snapshot.Save.
-	Checkpoints []*snapshot.Snapshot `json:"-"`
 }
 
 // Resilience reports how the run weathered its injected faults.
@@ -389,26 +362,10 @@ type Sim struct {
 	// startsPending counts start-jitter events not yet fired; quiescence —
 	// and therefore checkpointing — requires all nodes started.
 	startsPending int
-	checkpoints   []*snapshot.Snapshot
 
 	// Wall-clock throttle state for the progress probe (see armProgress).
 	progressStart time.Time
 	progressNext  time.Time
-}
-
-// faultPlan folds the legacy FailFraction/FailAtSeconds pair into the
-// declarative plan, as a one-shot kill appended after any configured ones.
-func (c Config) faultPlan() faults.Plan {
-	var plan faults.Plan
-	if c.Faults != nil {
-		plan = *c.Faults
-	}
-	if c.FailFraction > 0 {
-		kills := make([]faults.Kill, 0, len(plan.Kills)+1)
-		kills = append(kills, plan.Kills...)
-		plan.Kills = append(kills, faults.Kill{AtSeconds: c.FailAtSeconds, Fraction: c.FailFraction})
-	}
-	return plan
 }
 
 // New assembles a simulation from cfg. The network is built immediately;
@@ -417,7 +374,10 @@ func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{cfg: cfg, plan: cfg.faultPlan(), sched: sim.NewScheduler(), collector: metrics.NewCollector()}
+	s := &Sim{cfg: cfg, sched: sim.NewScheduler(), collector: metrics.NewCollector()}
+	if cfg.Faults != nil {
+		s.plan = *cfg.Faults
+	}
 	if cfg.Cancel != nil {
 		s.sched.SetCancel(cfg.Cancel)
 	}
@@ -634,10 +594,8 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	// Fault injection: the declarative plan (churn, sink outages, kill
-	// bursts — the legacy FailFraction burst folded in) runs on the
-	// scheduler with all randomness from one dedicated stream, split at
-	// the same position the legacy one-shot path used so kills-only runs
-	// reproduce the historical victim draws exactly.
+	// bursts) runs on the scheduler with all randomness from one dedicated
+	// stream, derived from the seed alone (see the loss streams above).
 	if s.plan.NeedsInjector() {
 		failRng := simrand.New(cfg.Seed).Split("aux/failures")
 		sensorNodes := make([]faults.Node, len(s.sensors))
@@ -679,11 +637,7 @@ func New(cfg Config) (*Sim, error) {
 	// grid, refreshing the live gauges (total queue occupancy, mean ξ,
 	// alive sensors) and the periodic histograms first.
 	if s.telem != nil {
-		interval := cfg.TelemetrySampleSeconds
-		if interval <= 0 {
-			interval = cfg.DurationSeconds / 100
-		}
-		s.sampler = telemetry.NewSampler(s.telem.Registry, interval, s.sampleGauges)
+		s.sampler = telemetry.NewSampler(s.telem.Registry, cfg.DurationSeconds/100, s.sampleGauges)
 	}
 
 	// The invariant sweep and the telemetry sampler share the kernel's
@@ -915,9 +869,8 @@ func (s *Sim) ensureArmed() error {
 }
 
 // Run executes the simulation to its configured duration and returns the
-// result digest. Run may be called once. With CheckpointEvery set, the
-// periodic snapshots are taken first (each at the first quiescent instant
-// at or after its grid point) and attached to Result.Checkpoints.
+// result digest. Run may be called once, after any CheckpointAt calls; it
+// continues from wherever the last checkpoint left the clock.
 //
 // With Config.Cancel armed, a run whose probe fires stops between events
 // and returns the partial Result accumulated so far together with an error
@@ -927,34 +880,16 @@ func (s *Sim) Run() (Result, error) {
 	if s.ran {
 		return Result{}, fmt.Errorf("scenario: simulation already ran")
 	}
-	cancelled := false
-	if s.cfg.CheckpointEvery > 0 {
-		for k := s.cfg.CheckpointEvery; k < s.cfg.DurationSeconds; k += s.cfg.CheckpointEvery {
-			if k <= float64(s.sched.Now()) {
-				continue // a restored run skips grid points already behind it
-			}
-			snap, err := s.CheckpointAt(k)
-			if errors.Is(err, sim.ErrCancelled) {
-				cancelled = true
-				break
-			}
-			if err != nil {
-				return Result{}, err
-			}
-			s.checkpoints = append(s.checkpoints, snap)
-		}
-	}
 	s.ran = true
 	if err := s.ensureArmed(); err != nil {
 		return Result{}, fmt.Errorf("scenario: %w", err)
 	}
-	if !cancelled {
-		switch err := s.runScheduler(); {
-		case errors.Is(err, sim.ErrCancelled):
-			cancelled = true
-		case err != nil:
-			return Result{}, fmt.Errorf("scenario: %w", err)
-		}
+	cancelled := false
+	switch err := s.runScheduler(); {
+	case errors.Is(err, sim.ErrCancelled):
+		cancelled = true
+	case err != nil:
+		return Result{}, fmt.Errorf("scenario: %w", err)
 	}
 	// Close the elision ledgers: still-active idle spans replay the cycle
 	// boundaries the eager arm would have run up to the end of the run,
@@ -991,7 +926,6 @@ func (s *Sim) Run() (Result, error) {
 		s.cfg.OnProgress(s.progressSnapshot(time.Now(), true))
 	}
 	res := s.Snapshot()
-	res.Checkpoints = s.checkpoints
 	if cancelled {
 		return res, fmt.Errorf("scenario: run cancelled at %.1f virtual s: %w",
 			float64(s.sched.Now()), sim.ErrCancelled)
@@ -1074,7 +1008,7 @@ func (s *Sim) Snapshot() Result {
 		s.telem.EventsFired.Set(float64(res.Events))
 		s.telem.EventsElided.Set(float64(res.EventsElided))
 		report := &telemetry.Report{Run: s.telem, Series: s.series}
-		if fw, ok := s.cfg.Recorder.(telemetry.FileWriter); ok {
+		if fw, ok := s.cfg.Recorder.(*telemetry.JSONLWriter); ok {
 			report.Events = fw.Events()
 		}
 		res.Telemetry = report

@@ -243,8 +243,7 @@ func TestTraceInvariantsHoldForEveryScheme(t *testing.T) {
 		apply   func(*Config)
 	}{
 		{"kill", false, func(cfg *Config) {
-			cfg.FailFraction = 0.2
-			cfg.FailAtSeconds = cfg.DurationSeconds / 2
+			cfg.Faults = &faults.Plan{Kills: []faults.Kill{{AtSeconds: cfg.DurationSeconds / 2, Fraction: 0.2}}}
 		}},
 		{"churn-wipe", true, func(cfg *Config) {
 			cfg.Faults = &faults.Plan{Churn: &faults.Churn{MTBFSeconds: 200, MTTRSeconds: 50, Fraction: 0.5}}
@@ -402,8 +401,7 @@ func TestMobileSinksDeliver(t *testing.T) {
 
 func TestFaultInjectionKillsFraction(t *testing.T) {
 	cfg := quickConfig(core.SchemeOPT)
-	cfg.FailFraction = 0.3
-	cfg.FailAtSeconds = 100
+	cfg.Faults = &faults.Plan{Kills: []faults.Kill{{AtSeconds: 100, Fraction: 0.3}}}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -431,27 +429,28 @@ func TestFaultInjectionKillsFraction(t *testing.T) {
 	if dead != 6 {
 		t.Fatalf("%d dead sensors, want 6", dead)
 	}
-	// The injector now runs the legacy burst, so the resilience digest
-	// must account for it.
+	// The injector runs the burst, so the resilience digest accounts for it.
 	if res.Resilience.Crashes != 6 || res.Resilience.Recoveries != 0 {
 		t.Fatalf("resilience %+v, want 6 crashes and no recoveries", res.Resilience)
 	}
 }
 
 func TestFaultConfigValidation(t *testing.T) {
+	kill := func(at, fraction float64) *faults.Plan {
+		return &faults.Plan{Kills: []faults.Kill{{AtSeconds: at, Fraction: fraction}}}
+	}
 	cfg := quickConfig(core.SchemeOPT)
-	cfg.FailFraction = 1.5
+	cfg.Faults = kill(100, 1.5)
 	if _, err := New(cfg); err == nil {
 		t.Error("fail fraction > 1 accepted")
 	}
 	cfg = quickConfig(core.SchemeOPT)
-	cfg.FailFraction = 0.5 // no FailAtSeconds
+	cfg.Faults = kill(0, 0.5) // no time
 	if _, err := New(cfg); err == nil {
 		t.Error("failures without a time accepted")
 	}
 	cfg = quickConfig(core.SchemeOPT)
-	cfg.FailFraction = 0.5
-	cfg.FailAtSeconds = cfg.DurationSeconds + 1 // would silently never fire
+	cfg.Faults = kill(cfg.DurationSeconds+1, 0.5) // would silently never fire
 	if _, err := New(cfg); err == nil {
 		t.Error("failure time beyond the run accepted")
 	}

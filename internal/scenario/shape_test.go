@@ -110,8 +110,7 @@ func TestFaultToleranceShape(t *testing.T) {
 			cfg.DurationSeconds = 4000
 			cfg.Seed = seed
 			if failFraction > 0 {
-				cfg.FailFraction = failFraction
-				cfg.FailAtSeconds = cfg.DurationSeconds / 3
+				cfg.Faults = &faults.Plan{Kills: []faults.Kill{{AtSeconds: cfg.DurationSeconds / 3, Fraction: failFraction}}}
 			}
 			s, err := New(cfg)
 			if err != nil {

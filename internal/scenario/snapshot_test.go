@@ -136,9 +136,9 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 }
 
-// TestPeriodicCheckpointsDontPerturb pins the Run-integrated checkpointing:
-// a run with CheckpointEvery set produces the checkpoints and an otherwise
-// bit-identical Result.
+// TestPeriodicCheckpointsDontPerturb pins checkpointing inside a run:
+// CheckpointAt at every quarter of the horizon, then Run, produces the
+// checkpoints and an otherwise bit-identical Result.
 func TestPeriodicCheckpointsDontPerturb(t *testing.T) {
 	for _, name := range []string{"opt-churn-kills", "opt-low-duty"} {
 		name := name
@@ -148,36 +148,37 @@ func TestPeriodicCheckpointsDontPerturb(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			run := func(every float64) Result {
-				c := cfg
-				c.CheckpointEvery = every
-				s, err := New(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+			plain, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			plain := run(0)
+			want, err := plain.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			every := cfg.DurationSeconds / 4
-			chk := run(every)
-			if want := 3; len(chk.Checkpoints) != want {
-				t.Fatalf("got %d checkpoints, want %d", len(chk.Checkpoints), want)
-			}
 			last := 0.0
-			for i, snap := range chk.Checkpoints {
-				k := float64(i+1) * every
+			for i := 1; i <= 3; i++ {
+				k := float64(i) * every
+				snap, err := s.CheckpointAt(k)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if snap.Time < k || snap.Time <= last {
 					t.Fatalf("checkpoint %d at %v s, want >= %v and increasing", i, snap.Time, k)
 				}
 				last = snap.Time
 			}
-			chk.Checkpoints = nil
-			if !reflect.DeepEqual(plain, chk) {
-				t.Fatalf("checkpointing perturbed the run:\nplain: %+v\nchk:   %+v", plain, chk)
+			got, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("checkpointing perturbed the run:\nplain: %+v\nchk:   %+v", want, got)
 			}
 		})
 	}

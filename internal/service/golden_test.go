@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"dftmsn/internal/core"
@@ -17,8 +19,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 // goldenConfigs is the matrix whose canonical encodings and cache keys are
 // pinned. Every contributor to the encoding appears somewhere: scheme,
-// topology, radio, traffic, faults (legacy fields and structured plans),
-// thresholds, invariants, custom params, checkpointing.
+// topology, radio, traffic, fault plans, thresholds, invariants, custom
+// params, and the control-arm switches.
 func goldenConfigs() []struct {
 	name string
 	cfg  scenario.Config
@@ -53,12 +55,9 @@ func goldenConfigs() []struct {
 	tuned.LossProb = 0.05
 	tuned.DeliveryThreshold = 0.9
 	tuned.DropThreshold = 0.05
-	tuned.CheckpointEvery = 500
 	tuned.TrafficStopSeconds = 4000
 
 	legacy := scenario.DefaultConfig(core.SchemeDirect)
-	legacy.FailFraction = 0.2
-	legacy.FailAtSeconds = 1000
 	legacy.LinearMedium = true
 	legacy.EagerDecay = true
 	legacy.InjectSkipSenderFTD = true
@@ -132,5 +131,14 @@ func TestCanonicalEncodingAndCacheKeyGolden(t *testing.T) {
 		t.Fatalf("canonical encodings or cache keys drifted from %s.\n"+
 			"If this change is intentional (it invalidates caches and snapshot compatibility), re-pin with:\n"+
 			"  go test ./internal/service -run Golden -update\ngot:\n%s", path, got.Bytes())
+	}
+}
+
+// TestBuildVersionNamesPlatform pins the scope of bit-identity into the
+// cache key: results from another architecture or Go release never match.
+func TestBuildVersionNamesPlatform(t *testing.T) {
+	v := BuildVersion()
+	if !strings.Contains(v, runtime.GOARCH) || !strings.Contains(v, runtime.Version()) {
+		t.Fatalf("build version %q does not name %s and %s", v, runtime.GOARCH, runtime.Version())
 	}
 }

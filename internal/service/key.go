@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 
 	"dftmsn/internal/scenario"
@@ -25,22 +26,23 @@ import (
 // computed by one binary are never served as another's. Module version and
 // VCS revision both feed in when the build carries them; a plain `go test`
 // build degrades to "(devel)", which still separates it from any released
-// build.
+// build. The architecture and toolchain feed in too: bit-identity holds
+// only within one GOARCH and one Go release (docs/PROTOCOL.md §8), so a
+// journal moved to another platform must not serve its cached floats.
 var buildVersion = func() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "unknown"
-	}
-	v := bi.Main.Version
-	for _, s := range bi.Settings {
-		if s.Key == "vcs.revision" {
-			v += "+" + s.Value
+	v := ""
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		v = bi.Main.Version
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				v += "+" + s.Value
+			}
 		}
 	}
 	if v == "" {
 		v = "unknown"
 	}
-	return v
+	return v + " " + runtime.GOARCH + " " + runtime.Version()
 }()
 
 // BuildVersion reports the build identity mixed into every cache key.

@@ -228,8 +228,9 @@ func Faults(o Options) (Experiment, error) {
 				cfg := scenario.DefaultConfig(sch)
 				cfg.NumSensors = o.Sensors
 				cfg.DurationSeconds = o.DurationSeconds
-				cfg.FailFraction = x
-				cfg.FailAtSeconds = o.DurationSeconds / 3
+				if x > 0 {
+					cfg.Faults = &faults.Plan{Kills: []faults.Kill{{AtSeconds: o.DurationSeconds / 3, Fraction: x}}}
+				}
 				return cfg, nil
 			},
 		})

@@ -82,8 +82,6 @@ func evalOneFuture(base scenario.Config, blob []byte, plan *faults.Plan) FaultFu
 	}
 	cfg := base
 	cfg.Faults = plan
-	cfg.FailFraction = 0 // the plan replaces every fault source, as in RestoreForPlan
-	cfg.FailAtSeconds = 0
 	s, err := scenario.New(cfg)
 	if err != nil {
 		f.Err = err

@@ -10,8 +10,8 @@
 //     nothing);
 //   - Verify, which checks the node-lifecycle rules (§4.1 sleep/wake,
 //     crash and reboot) over a recorded event stream;
-//   - two on-disk encodings — JSONL for greppability and a compact binary
-//     framing for bulk runs — with auto-detecting readers;
+//   - one on-disk encoding, JSONL (one event per line after a schema
+//     header), which the SSE stream carries too, and its reader;
 //   - a provenance Ledger reconstructing each message's custody chain
 //     (origin → relays → sink/drop) from the event stream;
 //   - a metrics Registry of counters, gauges and fixed-bucket histograms,
@@ -63,8 +63,8 @@ const (
 	// EvReboot: a crashed node recovered.
 	EvReboot
 	// EvKill: nothing emits it; fault injection's permanent kills record
-	// EvCrash with no reboot. It stays in the catalog so the binary type
-	// codes of the events after it do not shift.
+	// EvCrash with no reboot. It stays in the catalog so older traces that
+	// name it still decode.
 	EvKill
 	// EvDied: the node exhausted its battery. Value = the budget in joules.
 	EvDied

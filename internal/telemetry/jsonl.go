@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"sync"
+
+	"dftmsn/internal/packet"
 )
 
 // jsonlHeader is the first line of a JSONL trace-v2 file.
@@ -18,7 +21,8 @@ type jsonlHeader struct {
 const jsonlFormatName = "dftmsn-trace"
 
 // JSONLWriter emits trace-v2 events as one JSON object per line, preceded
-// by a schema header line. Fields that are zero and carry no information
+// by a schema header line. JSONL is the only trace-v2 file encoding, and
+// the SSE stream carries the same lines (AppendJSON). Fields that are zero and carry no information
 // for the event type are omitted. It is safe for concurrent use.
 //
 // The first write error is captured and surfaced by Flush; tracing never
@@ -28,26 +32,21 @@ type JSONLWriter struct {
 	w      *bufio.Writer
 	buf    []byte
 	n      uint64
-	max    uint64
 	err    error
 	header bool
 }
 
 var _ Recorder = (*JSONLWriter)(nil)
 
-// NewJSONL wraps w. maxEvents caps output to guard against runaway traces;
-// zero means unlimited.
-func NewJSONL(w io.Writer, maxEvents uint64) *JSONLWriter {
-	return &JSONLWriter{w: bufio.NewWriter(w), max: maxEvents, buf: make([]byte, 0, 256)}
+// NewJSONL wraps w. Call Flush before closing w.
+func NewJSONL(w io.Writer) *JSONLWriter {
+	return &JSONLWriter{w: bufio.NewWriter(w), buf: make([]byte, 0, 256)}
 }
 
 // Record implements Recorder.
 func (t *JSONLWriter) Record(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.max > 0 && t.n >= t.max {
-		return
-	}
 	if !t.header {
 		t.header = true
 		t.write([]byte(fmt.Sprintf("{\"schema\":%d,\"format\":%q}\n", SchemaVersion, jsonlFormatName)))
@@ -112,7 +111,7 @@ func (t *JSONLWriter) write(b []byte) {
 	}
 }
 
-// Events returns the number of events written (after capping).
+// Events returns the number of events written.
 func (t *JSONLWriter) Events() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -144,9 +143,14 @@ type jsonEvent struct {
 	Kept bool    `json:"kept"`
 }
 
-// readJSONL parses a JSONL trace-v2 stream positioned at the header line.
-func readJSONL(r *bufio.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
+// ReadAll decodes a whole JSONL trace-v2 stream. A stream that does not
+// open with the trace-v2 header line is rejected.
+func ReadAll(r io.Reader) ([]Event, error) {
+	br := bufio.NewReader(r)
+	if head, _ := br.Peek(4); len(head) > 0 && head[0] != '{' {
+		return nil, fmt.Errorf("telemetry: not a JSONL trace-v2 stream (leading bytes %q)", head)
+	}
+	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
@@ -184,6 +188,16 @@ func readJSONL(r *bufio.Reader) ([]Event, error) {
 	return out, nil
 }
 
+// ReadFile decodes a JSONL trace-v2 file.
+func ReadFile(path string) ([]Event, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadAll(f)
+}
+
 // ParseJSONEvent decodes one JSONL event line (the format AppendJSON
 // emits). It is the inverse used by both trace-file readers and the SSE
 // stream decoder.
@@ -198,10 +212,10 @@ func ParseJSONEvent(line []byte) (Event, error) {
 	}
 	return Event{
 		Time:  je.T,
-		Node:  nodeID(je.Node),
+		Node:  packet.NodeID(je.Node),
 		Type:  typ,
-		Msg:   messageID(je.Msg),
-		Peer:  nodeID(je.Peer),
+		Msg:   packet.MessageID(je.Msg),
+		Peer:  packet.NodeID(je.Peer),
 		FTD:   je.FTD,
 		Value: je.Val,
 		Count: je.N,

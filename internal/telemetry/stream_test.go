@@ -4,12 +4,14 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"dftmsn/internal/packet"
 )
 
 func streamEvents(n int) []Event {
 	out := make([]Event, n)
 	for i := range out {
-		out[i] = Event{Time: float64(i) / 4, Node: 1, Type: EvGen, Msg: messageID(uint64(i + 1))}
+		out[i] = Event{Time: float64(i) / 4, Node: 1, Type: EvGen, Msg: packet.MessageID(i + 1)}
 	}
 	return out
 }

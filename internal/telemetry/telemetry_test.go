@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -35,7 +34,7 @@ func sampleEvents() []Event {
 func TestJSONLRoundTrip(t *testing.T) {
 	events := sampleEvents()
 	var buf bytes.Buffer
-	w := NewJSONL(&buf, 0)
+	w := NewJSONL(&buf)
 	for _, ev := range events {
 		w.Record(ev)
 	}
@@ -62,50 +61,15 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	events := sampleEvents()
-	var buf bytes.Buffer
-	w := NewBinary(&buf, 0)
-	for _, ev := range events {
-		w.Record(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if want := binaryHeaderSize + len(events)*binaryRecordSize; buf.Len() != want {
-		t.Fatalf("binary size %d, want %d", buf.Len(), want)
-	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("read %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Errorf("event %d: got %+v, want %+v", i, got[i], events[i])
+func TestReadAllRejectsOtherEncodings(t *testing.T) {
+	for name, in := range map[string]string{
+		"binary": "DFTB\x02\x00\x00\x00",
+		"tsv":    "0.5\t3\tgen\tmsg=1\n",
+	} {
+		_, err := ReadAll(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "not a JSONL trace-v2 stream") {
+			t.Errorf("%s: ReadAll = %v, want a not-JSONL error", name, err)
 		}
-	}
-}
-
-func TestDetectFormat(t *testing.T) {
-	var jb, bb bytes.Buffer
-	jw := NewJSONL(&jb, 0)
-	jw.Record(Event{Type: EvGen, Msg: 1})
-	jw.Flush()
-	bw := NewBinary(&bb, 0)
-	bw.Record(Event{Type: EvGen, Msg: 1})
-	bw.Flush()
-
-	if f, err := DetectFormat(bufio.NewReader(&jb)); err != nil || f != FormatJSONL {
-		t.Errorf("jsonl detect = %v, %v", f, err)
-	}
-	if f, err := DetectFormat(bufio.NewReader(&bb)); err != nil || f != FormatBinary {
-		t.Errorf("binary detect = %v, %v", f, err)
-	}
-	if _, err := DetectFormat(bufio.NewReader(strings.NewReader("0.5\t3\tgen\tmsg=1\n"))); err == nil {
-		t.Error("legacy TSV detected as trace v2")
 	}
 }
 
@@ -113,25 +77,6 @@ func TestReaderRejectsNewerSchema(t *testing.T) {
 	in := `{"schema":99,"format":"dftmsn-trace"}` + "\n"
 	if _, err := ReadAll(strings.NewReader(in)); err == nil {
 		t.Fatal("want error for newer schema")
-	}
-}
-
-func TestWriterCapsEvents(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewJSONL(&buf, 3)
-	for i := 0; i < 10; i++ {
-		w.Record(Event{Time: float64(i), Type: EvGen, Msg: 1})
-	}
-	w.Flush()
-	if got := w.Events(); got != 3 {
-		t.Fatalf("Events() = %d, want 3", got)
-	}
-	events, err := ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
-	}
-	if len(events) != 3 {
-		t.Fatalf("read %d events, want 3", len(events))
 	}
 }
 
@@ -149,17 +94,12 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriterFlushSurfacesWriteError(t *testing.T) {
-	for name, mk := range map[string]func(*failWriter) FileWriter{
-		"jsonl":  func(fw *failWriter) FileWriter { return NewJSONL(fw, 0) },
-		"binary": func(fw *failWriter) FileWriter { return NewBinary(fw, 0) },
-	} {
-		w := mk(&failWriter{budget: 8})
-		for i := 0; i < 4096; i++ { // enough to overflow bufio's buffer
-			w.Record(Event{Time: float64(i), Type: EvGen, Msg: 1})
-		}
-		if err := w.Flush(); !errors.Is(err, errSink) {
-			t.Errorf("%s: Flush = %v, want %v", name, err, errSink)
-		}
+	w := NewJSONL(&failWriter{budget: 8})
+	for i := 0; i < 4096; i++ { // enough to overflow bufio's buffer
+		w.Record(Event{Time: float64(i), Type: EvGen, Msg: 1})
+	}
+	if err := w.Flush(); !errors.Is(err, errSink) {
+		t.Errorf("Flush = %v, want %v", err, errSink)
 	}
 }
 
@@ -217,16 +157,7 @@ func BenchmarkNopRecord(b *testing.B) {
 }
 
 func BenchmarkJSONLRecord(b *testing.B) {
-	w := NewJSONL(io.Discard, 0)
-	ev := Event{Time: 1.5, Node: 3, Type: EvRx, Msg: 42, Peer: 7, FTD: 0.5, Kept: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w.Record(ev)
-	}
-}
-
-func BenchmarkBinaryRecord(b *testing.B) {
-	w := NewBinary(io.Discard, 0)
+	w := NewJSONL(io.Discard)
 	ev := Event{Time: 1.5, Node: 3, Type: EvRx, Msg: 42, Peer: 7, FTD: 0.5, Kept: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
