@@ -104,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/snapshot/
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s ./internal/service/
 	$(GO) test -fuzz=FuzzSSEDecode -fuzztime=10s ./internal/telemetry/
+	$(GO) test -fuzz=FuzzLazyDecayParity -fuzztime=10s ./internal/routing/
 
 # The snapshot/fork/restore differential gate under the race detector: all
 # three arms bit-identical on Result and telemetry across the 10-config

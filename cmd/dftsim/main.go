@@ -67,8 +67,10 @@
 //
 // -eager-decay disables the event-elision engine (PROTOCOL.md §11) and
 // runs every ξ-decay tick and sleep cycle as a real kernel event — the
-// control arm for performance comparisons; results are identical either
-// way, only the event count and wall time change. -cpuprofile and
+// control arm for performance comparisons. On the differential test
+// matrix results are identical either way and only the event count and
+// wall time change; elsewhere idle-span coalescing can diverge from it
+// (PROTOCOL.md §11). -cpuprofile and
 // -memprofile write pprof profiles of the run for use with `go tool
 // pprof`.
 package main

@@ -115,7 +115,7 @@ func TestNewStrategyPerScheme(t *testing.T) {
 		SchemeEpidemic: "EPIDEMIC",
 	}
 	for s, want := range names {
-		st, err := NewStrategy(s, 5, 100, isSink)
+		st, err := NewStrategy(s, 5, 100, isSink, StrategyOverrides{})
 		if err != nil {
 			t.Fatalf("NewStrategy(%v): %v", s, err)
 		}
@@ -126,7 +126,7 @@ func TestNewStrategyPerScheme(t *testing.T) {
 			t.Errorf("NewStrategy(%v) queue cap %d, want 100", s, st.QueueCap())
 		}
 	}
-	if _, err := NewStrategy(Scheme(0), 5, 100, isSink); err == nil {
+	if _, err := NewStrategy(Scheme(0), 5, 100, isSink, StrategyOverrides{}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
@@ -164,7 +164,7 @@ func newMiniNet(t *testing.T, sensorParams Params) *miniNet {
 		t.Fatal(err)
 	}
 
-	strat, err := NewStrategy(SchemeOPT, 1, 50, isSink)
+	strat, err := NewStrategy(SchemeOPT, 1, 50, isSink, StrategyOverrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestNodeConstructorValidation(t *testing.T) {
 	}
 	macCfg := mac.DefaultConfig(med.AirTime(&packet.Preamble{}))
 	pos := func() geo.Point { return geo.Point{} }
-	strat, err := NewStrategy(SchemeOPT, 1, 10, func(packet.NodeID) bool { return false })
+	strat, err := NewStrategy(SchemeOPT, 1, 10, func(packet.NodeID) bool { return false }, StrategyOverrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,8 +153,8 @@ type Node struct {
 	tauCached int
 	tauForVer uint64
 
-	decay   *sim.Ticker         // eager decay arm (nil under lazy decay)
-	lazy    routing.LazyDecayer // lazy decay arm (nil under eager decay)
+	decay   *sim.Ticker     // eager decay arm (nil under lazy decay)
+	lazy    routing.Decayer // lazy decay arm (nil under eager decay)
 	macCfg  mac.Config
 	stats   NodeStats
 	started bool
@@ -292,15 +292,12 @@ func NewNode(
 	// either run a per-node ticker (the eager control arm) or evaluate the
 	// identical epoch sequence in closed form on read (the lazy arm).
 	// Strategies with constant metrics schedule no decay events either way.
-	if dt, ok := strategy.(routing.DecayTicker); ok {
-		lz, lazyOK := strategy.(routing.LazyDecayer)
-		if lazyOK && !params.EagerDecay {
-			n.lazy = lz
-			lz.EnableLazyDecay(sched.Now, params.DecayInterval)
+	if d, ok := strategy.(routing.Decayer); ok {
+		if params.EagerDecay {
+			n.decay = sim.NewTicker(sched, params.DecayInterval, "", d.OnDecayTick)
 		} else {
-			n.decay = sim.NewTicker(sched, params.DecayInterval, "", func(now sim.Time) {
-				dt.OnDecayTick(now)
-			})
+			n.lazy = d
+			d.EnableLazyDecay(sched.Now, params.DecayInterval)
 		}
 	}
 	// Idle-cycle coalescing needs every per-cycle side effect to be

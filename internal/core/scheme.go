@@ -135,13 +135,9 @@ type StrategyOverrides struct {
 
 // NewStrategy builds the routing strategy a sensor runs under scheme s.
 // isSink classifies node IDs (needed by ZBR and Direct); queueCap is the
-// buffer size K.
-func NewStrategy(s Scheme, id packet.NodeID, queueCap int, isSink func(packet.NodeID) bool) (routing.Strategy, error) {
-	return NewStrategyWithOverrides(s, id, queueCap, isSink, StrategyOverrides{})
-}
-
-// NewStrategyWithOverrides is NewStrategy with scheme-constant overrides.
-func NewStrategyWithOverrides(s Scheme, id packet.NodeID, queueCap int, isSink func(packet.NodeID) bool, ov StrategyOverrides) (routing.Strategy, error) {
+// buffer size K; ov overrides scheme constants (the zero value keeps the
+// defaults).
+func NewStrategy(s Scheme, id packet.NodeID, queueCap int, isSink func(packet.NodeID) bool, ov StrategyOverrides) (routing.Strategy, error) {
 	switch s {
 	case SchemeOPT, SchemeNOOPT, SchemeNOSLEEP:
 		cfg := routing.DefaultFADConfig()

@@ -35,7 +35,7 @@ func BenchmarkDeliveryProbUpdate(b *testing.B) {
 		if i%2 == 0 {
 			d.OnTransmission(0.6)
 		} else {
-			d.OnTimeout()
+			d.RestoreValue(d.PeekTimeout(d.Value()))
 		}
 	}
 }

@@ -28,12 +28,11 @@ func clampUnit(v float64) float64 {
 //	transmission to k: ξ ← (1−α)·ξ + α·ξ_k   (ξ_k = 1 if k is a sink)
 //	timeout:           ξ ← (1−α)·ξ
 //
-// Alpha keeps partial memory of historic status; the sink's ξ is pinned
-// to 1.
+// Alpha keeps partial memory of historic status. Sinks keep no tracker:
+// their ξ is 1 by definition (routing.Sink).
 type DeliveryProb struct {
 	alpha float64
 	xi    float64
-	sink  bool
 }
 
 // NewDeliveryProb returns a tracker with the given memory constant α in
@@ -45,65 +44,31 @@ func NewDeliveryProb(alpha float64) (*DeliveryProb, error) {
 	return &DeliveryProb{alpha: alpha}, nil
 }
 
-// NewSinkProb returns a tracker pinned at ξ = 1, as used by sink nodes.
-func NewSinkProb() *DeliveryProb {
-	return &DeliveryProb{alpha: 0, xi: 1, sink: true}
-}
-
 // Value returns the current ξ, always in [0,1].
 func (d *DeliveryProb) Value() float64 { return d.xi }
 
-// IsSink reports whether this tracker is pinned at 1.
-func (d *DeliveryProb) IsSink() bool { return d.sink }
-
 // OnTransmission applies the Eq. 1 transmission update toward the
-// receiver's probability xiK. Sinks are unaffected.
+// receiver's probability xiK.
 func (d *DeliveryProb) OnTransmission(xiK float64) {
-	if d.sink {
-		return
-	}
 	d.xi = clampUnit((1-d.alpha)*d.xi + d.alpha*clampUnit(xiK))
 }
 
-// OnTimeout applies the Eq. 1 decay for an interval with no transmission.
-// Sinks are unaffected.
-func (d *DeliveryProb) OnTimeout() {
-	if d.sink {
-		return
-	}
-	d.xi = clampUnit((1 - d.alpha) * d.xi)
-}
-
-// PeekTimeout returns the value xi would take after one Eq. 1 decay step,
-// without mutating the tracker. It applies the identical floating-point
-// expression as OnTimeout, so lazy-decay planners iterating it reproduce
-// the eager tick-by-tick trajectory bit-for-bit (a closed-form power would
+// PeekTimeout is the Eq. 1 timeout rule: the value xi takes after one
+// decay step of an interval with no transmission. It does not mutate the
+// tracker; callers store the result with RestoreValue. Eager ticks, lazy
+// settling and look-ahead planners all iterate this one expression, so
+// they follow the same trajectory bit for bit (a closed-form power would
 // round differently).
 func (d *DeliveryProb) PeekTimeout(xi float64) float64 {
-	if d.sink {
-		return xi
-	}
 	return clampUnit((1 - d.alpha) * xi)
 }
 
-// RestoreValue overwrites ξ with a snapshotted value. Sinks stay pinned
-// at 1.
-func (d *DeliveryProb) RestoreValue(xi float64) {
-	if d.sink {
-		d.xi = 1
-		return
-	}
-	d.xi = clampUnit(xi)
-}
+// RestoreValue overwrites ξ, clamped to [0,1]: a snapshotted value, or the
+// result of PeekTimeout.
+func (d *DeliveryProb) RestoreValue(xi float64) { d.xi = clampUnit(xi) }
 
-// Reset returns ξ to its initial value (0 for sensors, 1 for sinks).
-func (d *DeliveryProb) Reset() {
-	if d.sink {
-		d.xi = 1
-		return
-	}
-	d.xi = 0
-}
+// Reset returns ξ to its initial value, 0.
+func (d *DeliveryProb) Reset() { d.xi = 0 }
 
 // CopyFTD computes Eq. 2: the FTD assigned to the copy sent to receiver j,
 // given the sender's pre-multicast FTD, the sender's ξ, and the ξ of every

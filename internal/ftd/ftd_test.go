@@ -27,9 +27,6 @@ func TestDeliveryProbStartsAtZero(t *testing.T) {
 	if d.Value() != 0 {
 		t.Fatalf("initial xi = %v, want 0", d.Value())
 	}
-	if d.IsSink() {
-		t.Fatal("sensor tracker claims to be sink")
-	}
 }
 
 func TestDeliveryProbTransmissionToSink(t *testing.T) {
@@ -55,13 +52,16 @@ func TestDeliveryProbTimeoutDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.OnTransmission(1) // 0.5
-	d.OnTimeout()       // 0.25
+	if got := d.PeekTimeout(d.Value()); math.Abs(got-0.25) > 1e-12 || d.Value() != 0.5 {
+		t.Fatalf("PeekTimeout = %v (tracker %v), want 0.25 without mutating", got, d.Value())
+	}
+	d.RestoreValue(d.PeekTimeout(d.Value()))
 	if math.Abs(d.Value()-0.25) > 1e-12 {
 		t.Fatalf("xi after timeout = %v, want 0.25", d.Value())
 	}
 	// Repeated decay converges to zero.
 	for i := 0; i < 200; i++ {
-		d.OnTimeout()
+		d.RestoreValue(d.PeekTimeout(d.Value()))
 	}
 	if d.Value() > 1e-12 {
 		t.Fatalf("xi did not decay to ~0: %v", d.Value())
@@ -77,23 +77,6 @@ func TestDeliveryProbReset(t *testing.T) {
 	d.Reset()
 	if d.Value() != 0 {
 		t.Fatalf("reset sensor xi = %v", d.Value())
-	}
-	s := NewSinkProb()
-	s.Reset()
-	if s.Value() != 1 {
-		t.Fatalf("reset sink xi = %v", s.Value())
-	}
-}
-
-func TestSinkProbPinnedAtOne(t *testing.T) {
-	s := NewSinkProb()
-	if !s.IsSink() || s.Value() != 1 {
-		t.Fatalf("sink tracker: IsSink=%v Value=%v", s.IsSink(), s.Value())
-	}
-	s.OnTimeout()
-	s.OnTransmission(0)
-	if s.Value() != 1 {
-		t.Fatalf("sink xi moved to %v", s.Value())
 	}
 }
 

@@ -8,50 +8,106 @@ import (
 	"dftmsn/internal/packet"
 )
 
+// fifoScheme is the substrate Direct, Epidemic and ZBR share: a FIFO queue
+// with duplicate suppression and the ID of the message in flight between
+// BuildSchedule and OnTxOutcome. It implements every Strategy method that
+// does not depend on the forwarding rule; the embedding scheme supplies
+// the rest.
+type fifoScheme struct {
+	name      string
+	id        packet.NodeID
+	fifo      *buffer.FIFO
+	pendingID packet.MessageID
+}
+
+func newFIFOScheme(name string, id packet.NodeID, queueCap int) (fifoScheme, error) {
+	fifo, err := buffer.NewFIFO(queueCap)
+	if err != nil {
+		return fifoScheme{}, err
+	}
+	return fifoScheme{name: name, id: id, fifo: fifo}, nil
+}
+
+// Name implements Strategy.
+func (b *fifoScheme) Name() string { return b.name }
+
+// HasData implements Strategy.
+func (b *fifoScheme) HasData() bool { return b.fifo.Len() > 0 }
+
+// Generate implements Strategy.
+func (b *fifoScheme) Generate(id packet.MessageID, now float64, payloadBits int) bool {
+	return b.fifo.Insert(buffer.Entry{ID: id, Origin: b.id, CreatedAt: now, PayloadBits: payloadBits})
+}
+
+// OnDataReceived implements Strategy (FIFO.Insert deduplicates copies).
+func (b *fifoScheme) OnDataReceived(d *packet.Data, _ packet.ScheduleEntry) bool {
+	return b.fifo.Insert(buffer.Entry{
+		ID:          d.ID,
+		Origin:      d.Origin,
+		CreatedAt:   d.CreatedAt,
+		PayloadBits: d.PayloadBits,
+		Hops:        d.Hops + 1,
+	})
+}
+
+// OnCycleEnd implements Strategy: the FIFO schemes keep no per-cycle
+// state.
+func (b *fifoScheme) OnCycleEnd(mac.Outcome, float64) {}
+
+// ImportantCount implements Strategy: without FTDs, every queued message
+// counts as important, so the sleep α reduces to buffer occupancy.
+func (b *fifoScheme) ImportantCount() int { return b.fifo.Len() }
+
+// QueueLen implements Strategy.
+func (b *fifoScheme) QueueLen() int { return b.fifo.Len() }
+
+// QueueCap implements Strategy.
+func (b *fifoScheme) QueueCap() int { return b.fifo.Cap() }
+
+// Drops implements Strategy.
+func (b *fifoScheme) Drops() buffer.DropCounts { return b.fifo.Drops() }
+
+// WipeQueue implements Strategy.
+func (b *fifoScheme) WipeQueue() []packet.MessageID { return b.fifo.Wipe() }
+
+// ResetRouting implements Strategy: Direct and Epidemic learn nothing.
+func (b *fifoScheme) ResetRouting() {}
+
 // Direct is the §2 "direct transmission" basic scheme: a sensor keeps its
 // messages until it meets a sink and transmits only then. No sensor ever
 // relays for another, so delivery depends entirely on the origin's own
 // mobility. Provided as an extension baseline (analysed in the authors'
-// earlier DFT-MSN paper).
+// earlier DFT-MSN paper). It has no periodic decay, so it implements no
+// Decayer and schedules no decay events in any mode.
 type Direct struct {
-	id        packet.NodeID
-	fifo      *buffer.FIFO
-	isSink    func(packet.NodeID) bool
-	pendingID packet.MessageID
+	fifoScheme
+	isSink func(packet.NodeID) bool
 }
 
 var _ Strategy = (*Direct)(nil)
 
 // NewDirect builds the scheme for node id with the given buffer capacity.
 func NewDirect(id packet.NodeID, queueCap int, isSink func(packet.NodeID) bool) (*Direct, error) {
-	if err := validateCommon(id, queueCap); err != nil {
+	base, err := newFIFOScheme("DIRECT", id, queueCap)
+	if err != nil {
 		return nil, err
 	}
 	if isSink == nil {
 		return nil, fmt.Errorf("routing: Direct needs an isSink classifier")
 	}
-	fifo, err := buffer.NewFIFO(queueCap)
-	if err != nil {
-		return nil, err
-	}
-	return &Direct{id: id, fifo: fifo, isSink: isSink}, nil
+	return &Direct{fifoScheme: base, isSink: isSink}, nil
 }
-
-// Name implements Strategy.
-func (d *Direct) Name() string { return "DIRECT" }
 
 // Xi implements Strategy: direct transmission has no gradient metric; a
 // constant keeps the adaptive listening period at its floor.
 func (d *Direct) Xi() float64 { return 0 }
 
-// HasData implements Strategy.
-func (d *Direct) HasData() bool { return d.fifo.Len() > 0 }
-
 // SenderMetrics implements Strategy.
 func (d *Direct) SenderMetrics() (float64, float64, float64) { return 0, 0, 0 }
 
 // Qualify implements Strategy: sensors never relay under direct
-// transmission; only sinks answer (via the Sink strategy).
+// transmission; only sinks answer (via the Sink strategy), so a Direct
+// sensor's OnDataReceived is never reached.
 func (d *Direct) Qualify(*packet.RTS) (bool, float64, int, float64) {
 	return false, 0, d.fifo.Available(), 0
 }
@@ -63,7 +119,7 @@ func (d *Direct) BuildSchedule(cands []mac.Candidate) ([]packet.ScheduleEntry, *
 	if !ok {
 		return nil, nil
 	}
-	for _, c := range sortCandidates(cands) {
+	for _, c := range sortCandidates(cands, byXi) {
 		if d.isSink(c.Node) {
 			d.pendingID = head.ID
 			return []packet.ScheduleEntry{{Node: c.Node, FTD: 1}}, entryToData(d.id, head)
@@ -71,10 +127,6 @@ func (d *Direct) BuildSchedule(cands []mac.Candidate) ([]packet.ScheduleEntry, *
 	}
 	return nil, nil
 }
-
-// OnDataReceived implements Strategy: unreachable for sensors (they never
-// qualify), kept total for interface safety.
-func (d *Direct) OnDataReceived(*packet.Data, packet.ScheduleEntry) bool { return false }
 
 // OnTxOutcome implements Strategy: a sink ACK completes delivery; the local
 // copy is discarded.
@@ -84,64 +136,28 @@ func (d *Direct) OnTxOutcome(_ []packet.ScheduleEntry, acked []packet.NodeID) {
 	}
 }
 
-// OnCycleEnd implements Strategy. Direct transmission has no periodic
-// decay, so the scheme implements neither DecayTicker nor LazyDecayer and
-// schedules no decay events in any mode.
-func (d *Direct) OnCycleEnd(mac.Outcome, float64) {}
-
-// Generate implements Strategy.
-func (d *Direct) Generate(id packet.MessageID, now float64, payloadBits int) bool {
-	return d.fifo.Insert(buffer.Entry{ID: id, Origin: d.id, CreatedAt: now, PayloadBits: payloadBits})
-}
-
-// ImportantCount implements Strategy.
-func (d *Direct) ImportantCount() int { return d.fifo.Len() }
-
-// QueueLen implements Strategy.
-func (d *Direct) QueueLen() int { return d.fifo.Len() }
-
-// QueueCap implements Strategy.
-func (d *Direct) QueueCap() int { return d.fifo.Cap() }
-
-// Drops implements Strategy.
-func (d *Direct) Drops() buffer.DropCounts { return d.fifo.Drops() }
-
-// WipeQueue implements Strategy.
-func (d *Direct) WipeQueue() []packet.MessageID { return d.fifo.Wipe() }
-
-// ResetRouting implements Strategy: direct transmission learns nothing.
-func (d *Direct) ResetRouting() {}
-
 // Epidemic is the §2 "flooding" basic scheme: every encounter replicates
 // the message to any neighbour with buffer space; nodes keep their copies.
 // It bounds achievable delivery from above at the cost of extreme overhead.
+// It has no periodic decay, so it implements no Decayer and schedules no
+// decay events in any mode.
 type Epidemic struct {
-	id   packet.NodeID
-	fifo *buffer.FIFO
+	fifoScheme
 }
 
 var _ Strategy = (*Epidemic)(nil)
 
 // NewEpidemic builds the scheme for node id with the given buffer capacity.
 func NewEpidemic(id packet.NodeID, queueCap int) (*Epidemic, error) {
-	if err := validateCommon(id, queueCap); err != nil {
-		return nil, err
-	}
-	fifo, err := buffer.NewFIFO(queueCap)
+	base, err := newFIFOScheme("EPIDEMIC", id, queueCap)
 	if err != nil {
 		return nil, err
 	}
-	return &Epidemic{id: id, fifo: fifo}, nil
+	return &Epidemic{base}, nil
 }
-
-// Name implements Strategy.
-func (e *Epidemic) Name() string { return "EPIDEMIC" }
 
 // Xi implements Strategy: flooding treats all nodes alike.
 func (e *Epidemic) Xi() float64 { return 0.5 }
-
-// HasData implements Strategy.
-func (e *Epidemic) HasData() bool { return e.fifo.Len() > 0 }
 
 // SenderMetrics implements Strategy.
 func (e *Epidemic) SenderMetrics() (float64, float64, float64) { return 0, 0, 0 }
@@ -167,17 +183,6 @@ func (e *Epidemic) BuildSchedule(cands []mac.Candidate) ([]packet.ScheduleEntry,
 	return entries, entryToData(e.id, head)
 }
 
-// OnDataReceived implements Strategy (FIFO.Insert deduplicates copies).
-func (e *Epidemic) OnDataReceived(d *packet.Data, _ packet.ScheduleEntry) bool {
-	return e.fifo.Insert(buffer.Entry{
-		ID:          d.ID,
-		Origin:      d.Origin,
-		CreatedAt:   d.CreatedAt,
-		PayloadBits: d.PayloadBits,
-		Hops:        d.Hops + 1,
-	})
-}
-
 // OnTxOutcome implements Strategy: the sender keeps its copy but rotates
 // the just-sent message to the back so other messages also spread.
 func (e *Epidemic) OnTxOutcome(_ []packet.ScheduleEntry, acked []packet.NodeID) {
@@ -191,31 +196,3 @@ func (e *Epidemic) OnTxOutcome(_ []packet.ScheduleEntry, acked []packet.NodeID) 
 	e.fifo.Remove(head.ID)
 	e.fifo.Insert(head)
 }
-
-// OnCycleEnd implements Strategy. Flooding has no periodic decay, so the
-// scheme implements neither DecayTicker nor LazyDecayer and schedules no
-// decay events in any mode.
-func (e *Epidemic) OnCycleEnd(mac.Outcome, float64) {}
-
-// Generate implements Strategy.
-func (e *Epidemic) Generate(id packet.MessageID, now float64, payloadBits int) bool {
-	return e.fifo.Insert(buffer.Entry{ID: id, Origin: e.id, CreatedAt: now, PayloadBits: payloadBits})
-}
-
-// ImportantCount implements Strategy.
-func (e *Epidemic) ImportantCount() int { return e.fifo.Len() }
-
-// QueueLen implements Strategy.
-func (e *Epidemic) QueueLen() int { return e.fifo.Len() }
-
-// QueueCap implements Strategy.
-func (e *Epidemic) QueueCap() int { return e.fifo.Cap() }
-
-// Drops implements Strategy.
-func (e *Epidemic) Drops() buffer.DropCounts { return e.fifo.Drops() }
-
-// WipeQueue implements Strategy.
-func (e *Epidemic) WipeQueue() []packet.MessageID { return e.fifo.Wipe() }
-
-// ResetRouting implements Strategy: flooding learns nothing.
-func (e *Epidemic) ResetRouting() {}

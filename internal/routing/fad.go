@@ -140,16 +140,9 @@ type FAD struct {
 	lastTx float64
 	txEver bool
 
-	// Lazy closed-form decay (see routing.LazyDecayer): when lazyClock is
-	// set the node schedules no decay ticker; instead epochs pending at
-	// nextTick, nextTick+lazyInterval, … are settled on read. lazyInterval
-	// is the node ticker's period; the Eq. 1 gate still uses
-	// cfg.DecayInterval, exactly as the eager OnDecayTick does.
-	lazyClock    func() float64
-	lazyInterval float64
-	lazyRunning  bool
-	nextTick     float64
-	lazyTicks    uint64
+	// decaySeq runs the Eq. 1 timeout epochs. Its interval is the node
+	// ticker's period; the Eq. 1 gate uses cfg.DecayInterval in both arms.
+	decaySeq
 
 	// pending caches the context of the in-flight multicast between
 	// BuildSchedule and OnTxOutcome.
@@ -158,17 +151,13 @@ type FAD struct {
 }
 
 var (
-	_ Strategy    = (*FAD)(nil)
-	_ DecayTicker = (*FAD)(nil)
-	_ LazyDecayer = (*FAD)(nil)
+	_ Strategy = (*FAD)(nil)
+	_ Decayer  = (*FAD)(nil)
 )
 
 // NewFAD builds the scheme for node id.
 func NewFAD(id packet.NodeID, cfg FADConfig) (*FAD, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateCommon(id, cfg.QueueCapacity); err != nil {
 		return nil, err
 	}
 	q, err := buffer.NewQueue(cfg.QueueCapacity, cfg.DropThreshold)
@@ -179,7 +168,20 @@ func NewFAD(id packet.NodeID, cfg FADConfig) (*FAD, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FAD{id: id, cfg: cfg, queue: q, prob: prob, pendingXis: make(map[packet.NodeID]float64)}, nil
+	f := &FAD{id: id, cfg: cfg, queue: q, prob: prob, pendingXis: make(map[packet.NodeID]float64)}
+	f.apply = func(end float64) { f.prob.RestoreValue(f.timeout(f.prob.Value(), end)) }
+	return f, nil
+}
+
+// timeout is Eq. 1's timeout branch for the epoch ending at end: ξ decays
+// by (1−α) unless the node transmitted within the last Δ. lastTx and
+// txEver only mutate in methods that settle first, so every settled epoch
+// sees the values it would have seen live.
+func (f *FAD) timeout(xi, end float64) float64 {
+	if !f.txEver || end-f.lastTx >= f.cfg.DecayInterval {
+		return f.prob.PeekTimeout(xi)
+	}
+	return xi
 }
 
 // Name implements Strategy.
@@ -190,7 +192,7 @@ func (f *FAD) SetObserver(o FADObserver) { f.obs = o }
 
 // Xi implements Strategy.
 func (f *FAD) Xi() float64 {
-	f.settleDecay()
+	f.settle()
 	return f.prob.Value()
 }
 
@@ -199,7 +201,7 @@ func (f *FAD) HasData() bool { return f.queue.Len() > 0 }
 
 // SenderMetrics implements Strategy.
 func (f *FAD) SenderMetrics() (float64, float64, float64) {
-	f.settleDecay()
+	f.settle()
 	head, ok := f.queue.Head()
 	if !ok {
 		return f.prob.Value(), 0, 0
@@ -207,73 +209,13 @@ func (f *FAD) SenderMetrics() (float64, float64, float64) {
 	return f.prob.Value(), head.FTD, 0
 }
 
-// EnableLazyDecay implements LazyDecayer.
-func (f *FAD) EnableLazyDecay(clock func() float64, interval float64) {
-	f.lazyClock = clock
-	f.lazyInterval = interval
-}
-
-// StartLazyDecay implements LazyDecayer: the first epoch ends one interval
-// from now, mirroring sim.Ticker.Start. Starting a running sequence is a
-// no-op, like Ticker.Start.
-func (f *FAD) StartLazyDecay(now float64) {
-	if f.lazyRunning {
-		return
-	}
-	f.lazyRunning = true
-	f.nextTick = now + f.lazyInterval
-}
-
-// StopLazyDecay implements LazyDecayer: epochs through now settle, then
-// the value freezes until the next StartLazyDecay.
-func (f *FAD) StopLazyDecay(now float64) {
-	f.settleTo(now)
-	f.lazyRunning = false
-}
-
-// ElidedDecayTicks implements LazyDecayer.
-func (f *FAD) ElidedDecayTicks() uint64 { return f.lazyTicks }
-
-// settleDecay applies every epoch pending at the current clock.
-func (f *FAD) settleDecay() {
-	if f.lazyClock == nil || !f.lazyRunning {
-		return
-	}
-	f.settleTo(f.lazyClock())
-}
-
-// settleTo replays pending epochs with end times <= now, applying at each
-// exactly what the eager OnDecayTick would have: the Eq. 1 timeout gated
-// on the last transmission. lastTx and txEver only mutate in methods that
-// settle first, so every replayed epoch sees the values it would have
-// seen live.
-func (f *FAD) settleTo(now float64) {
-	if f.lazyClock == nil || !f.lazyRunning {
-		return
-	}
-	for f.nextTick <= now {
-		if !f.txEver || f.nextTick-f.lastTx >= f.cfg.DecayInterval {
-			f.prob.OnTimeout()
-		}
-		f.lazyTicks++
-		f.nextTick += f.lazyInterval
-	}
-}
-
-// XiAt implements LazyDecayer: the ξ a read at time t will see, given no
-// intervening transmission or reset. In eager mode (no lazy clock) ξ only
-// changes through events, so the current value is the answer.
+// XiAt implements Decayer: the ξ a read at time t will see, given no
+// intervening transmission or reset. In eager mode ξ only changes through
+// events, so the current value is the answer.
 func (f *FAD) XiAt(t float64) float64 {
-	f.settleDecay()
+	f.settle()
 	xi := f.prob.Value()
-	if f.lazyClock == nil || !f.lazyRunning {
-		return xi
-	}
-	for tick := f.nextTick; tick <= t; tick += f.lazyInterval {
-		if !f.txEver || tick-f.lastTx >= f.cfg.DecayInterval {
-			xi = f.prob.PeekTimeout(xi)
-		}
-	}
+	f.peek(t, func(end float64) { xi = f.timeout(xi, end) })
 	return xi
 }
 
@@ -281,7 +223,7 @@ func (f *FAD) XiAt(t float64) float64 {
 // delivery probability than the sender and buffer space for the message's
 // FTD (§3.2.1).
 func (f *FAD) Qualify(rts *packet.RTS) (bool, float64, int, float64) {
-	f.settleDecay()
+	f.settle()
 	xi := f.prob.Value()
 	avail := f.queue.AvailableFor(rts.FTD)
 	if xi > rts.Xi && avail > 0 {
@@ -299,9 +241,9 @@ func (f *FAD) BuildSchedule(cands []mac.Candidate) ([]packet.ScheduleEntry, *pac
 	if !ok || len(cands) == 0 {
 		return nil, nil
 	}
-	f.settleDecay()
+	f.settle()
 	xi := f.prob.Value()
-	sorted := sortCandidates(cands)
+	sorted := sortCandidates(cands, byXi)
 	fc := make([]ftd.Candidate, len(sorted))
 	for i, c := range sorted {
 		fc[i] = ftd.Candidate{Node: int(c.Node), Xi: c.Xi, BufferAvail: c.BufferAvail}
@@ -391,7 +333,7 @@ func (f *FAD) OnTxOutcome(entries []packet.ScheduleEntry, acked []packet.NodeID)
 	}
 	// Epochs pending before this outcome decay the pre-transmission ξ and
 	// see the pre-transmission lastTx/txEver, exactly as live ticks did.
-	f.settleDecay()
+	f.settle()
 	ackSet := make(map[packet.NodeID]bool, len(acked))
 	for _, a := range acked {
 		ackSet[a] = true
@@ -433,21 +375,12 @@ func (f *FAD) OnTxOutcome(entries []packet.ScheduleEntry, acked []packet.NodeID)
 	f.txEver = true
 }
 
-// OnCycleEnd implements Strategy: the FAD scheme's per-cycle state is
-// handled in OnTxOutcome; nothing to do here.
+// OnCycleEnd implements Strategy: a cycle that sent data restarts the
+// Eq. 1 timeout clock.
 func (f *FAD) OnCycleEnd(out mac.Outcome, now float64) {
 	if out.Sent {
-		f.settleDecay()
+		f.settle()
 		f.lastTx = now
-	}
-}
-
-// OnDecayTick implements DecayTicker: Eq. 1's timeout branch. Only the
-// eager control arm drives it; under lazy decay the same update runs in
-// settleTo.
-func (f *FAD) OnDecayTick(now float64) {
-	if !f.txEver || now-f.lastTx >= f.cfg.DecayInterval {
-		f.prob.OnTimeout()
 	}
 }
 
@@ -483,7 +416,7 @@ func (f *FAD) WipeQueue() []packet.MessageID { return f.queue.Wipe() }
 // Epochs pending at reset time settle against the old state first, keeping
 // the elided-tick ledger aligned with the eager arm's fired ticks.
 func (f *FAD) ResetRouting() {
-	f.settleDecay()
+	f.settle()
 	f.prob.Reset()
 	f.lastTx = 0
 	f.txEver = false

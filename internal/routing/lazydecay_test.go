@@ -11,15 +11,15 @@ import (
 // an identical timeline: the eager control arm by firing OnDecayTick at
 // every epoch end (exactly the schedule a per-node sim.Ticker produces,
 // including the due += interval floating-point accumulation), the lazy arm
-// through the LazyDecayer closed-form path. Any divergence in observed ξ,
+// through the Decayer settle-on-read path. Any divergence in observed ξ,
 // in XiAt look-ahead, or between fired and elided epoch counts is a bug in
 // the closed-form rewrite.
 type decayHarness struct {
 	t        *testing.T
 	lazy     Strategy
 	eager    Strategy
-	lazyD    LazyDecayer
-	eagerD   DecayTicker
+	lazyD    Decayer
+	eagerD   Decayer
 	interval float64
 	now      float64 // the lazy arm's clock
 	running  bool
@@ -31,12 +31,10 @@ func newDecayHarness(t *testing.T, mk func() Strategy, interval float64) *decayH
 	t.Helper()
 	h := &decayHarness{t: t, lazy: mk(), eager: mk(), interval: interval}
 	var ok bool
-	if h.lazyD, ok = h.lazy.(LazyDecayer); !ok {
-		t.Fatalf("%s does not implement LazyDecayer", h.lazy.Name())
+	if h.lazyD, ok = h.lazy.(Decayer); !ok {
+		t.Fatalf("%s does not implement Decayer", h.lazy.Name())
 	}
-	if h.eagerD, ok = h.eager.(DecayTicker); !ok {
-		t.Fatalf("%s does not implement DecayTicker", h.eager.Name())
-	}
+	h.eagerD = h.eager.(Decayer)
 	h.lazyD.EnableLazyDecay(func() float64 { return h.now }, interval)
 	return h
 }
@@ -163,13 +161,23 @@ func mkZBR(beta float64) func() Strategy {
 }
 
 // script runs the shared differential timeline: long idle stretches (many
-// pending epochs), queries landing exactly on epoch boundaries, resets and
-// stop/start cycles (crash → reboot), successful transmissions resetting
-// the Eq. 1 gate, and sub-interval query bursts.
+// pending epochs), queries, a transmission and a reset landing exactly on
+// epoch boundaries, resets and stop/start cycles (crash → reboot),
+// successful transmissions resetting the Eq. 1 gate, and sub-interval
+// query bursts.
 func (h *decayHarness) script() {
 	h.start(2)
 	h.checkAt(2.5)
-	h.checkAt(32)        // exactly one interval after start
+	h.checkAt(32) // exactly one interval after start
+	// A hand-off and a reset exactly on the next two epoch ends, taken
+	// from the eager arm's own accumulated schedule (62 s and 92 s at a
+	// 30 s interval). Both arms apply the epoch ending at an instant
+	// before work at that instant: the harness fires it in advance, the
+	// lazy arm settles every epoch with end <= now.
+	h.handoff(h.next, 3)
+	h.checkAt(h.now)
+	h.reset(h.next)
+	h.checkAt(h.now)
 	h.checkAt(400)       // long idle gap: many epochs settle at once
 	h.handoff(410.25, 1) // tx: Eq. 1 gate now holds ξ for a while
 	h.sentCycle(410.5)   // lastTx = 410.5

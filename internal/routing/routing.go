@@ -16,7 +16,6 @@
 package routing
 
 import (
-	"fmt"
 	"sort"
 
 	"dftmsn/internal/buffer"
@@ -69,82 +68,26 @@ type Strategy interface {
 	ResetRouting()
 }
 
-// DecayTicker is the advisory companion to Strategy for schemes whose
-// soft state decays on a period (FAD's Eq. 1 timeout, ZBR's history
-// epochs). It is no longer part of Strategy itself: the node layer type-
-// asserts for it and only then runs a per-node decay ticker — the eager
-// control arm. Schemes with constant metrics (Direct, Epidemic, Sink)
-// implement neither this nor LazyDecayer and schedule no decay events in
-// any mode.
-type DecayTicker interface {
-	// OnDecayTick runs one decay epoch ending at time now.
-	OnDecayTick(now float64)
-}
-
-// LazyDecayer is implemented by strategies that can evaluate their
-// periodic decay in closed form on read instead of firing one kernel
-// event per epoch. The contract mirrors the eager ticker exactly: epochs
-// land at start+interval, start+2·interval, … (the same floating-point
-// accumulation a sim.Ticker produces), each epoch applies the identical
-// update the strategy's OnDecayTick would have applied at that instant,
-// and reads between epochs see the value as of the last epoch. Lifecycle
-// calls bracket the epoch sequence the way the node brackets its ticker:
-// StartLazyDecay where the ticker would Start (node start, reboot),
-// StopLazyDecay where it would Stop (node stop, crash, battery death) —
-// pending state settles through the stop time and then freezes, so
-// observers of a dead node read the value it died with.
-type LazyDecayer interface {
-	// EnableLazyDecay switches the strategy from ticker-driven decay to
-	// closed-form evaluation. clock supplies the current virtual time for
-	// settle-on-read; interval is the epoch period the eager ticker would
-	// have used.
-	EnableLazyDecay(clock func() float64, interval float64)
-	// StartLazyDecay begins an epoch sequence: the first epoch ends one
-	// interval after now.
-	StartLazyDecay(now float64)
-	// StopLazyDecay settles epochs through now, then freezes the value.
-	StopLazyDecay(now float64)
-	// XiAt returns the value Xi() will report at virtual time t >= now,
-	// assuming no transmission or reset happens in between. It does not
-	// mutate state beyond settling already-elapsed epochs; idle-cycle
-	// planners use it to pre-compute contention windows.
-	XiAt(t float64) float64
-	// ElidedDecayTicks returns the cumulative number of epochs evaluated
-	// in closed form — each one a kernel event the eager arm would have
-	// scheduled and fired.
-	ElidedDecayTicks() uint64
-}
-
 // DeliverFunc is invoked by the Sink strategy when a message copy arrives.
 type DeliverFunc func(d *packet.Data, now float64)
 
-// sortCandidates orders cands by decreasing Xi with node ID as the
-// deterministic tie-break, matching the paper's Ξ ordering.
-func sortCandidates(cands []mac.Candidate) []mac.Candidate {
+// sortCandidates orders cands by decreasing key with node ID as the
+// deterministic tie-break: ξ for the paper's Ξ ordering, history for ZBR's
+// preference order.
+func sortCandidates(cands []mac.Candidate, key func(mac.Candidate) float64) []mac.Candidate {
 	out := make([]mac.Candidate, len(cands))
 	copy(out, cands)
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Xi != out[j].Xi {
-			return out[i].Xi > out[j].Xi
+		if ki, kj := key(out[i]), key(out[j]); ki != kj {
+			return ki > kj
 		}
 		return out[i].Node < out[j].Node
 	})
 	return out
 }
 
-// sortCandidatesByHistory orders cands by decreasing History with node ID
-// tie-break (ZBR's preference order).
-func sortCandidatesByHistory(cands []mac.Candidate) []mac.Candidate {
-	out := make([]mac.Candidate, len(cands))
-	copy(out, cands)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].History != out[j].History {
-			return out[i].History > out[j].History
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
-}
+func byXi(c mac.Candidate) float64      { return c.Xi }
+func byHistory(c mac.Candidate) float64 { return c.History }
 
 // entryToData builds the data frame for a queued entry.
 func entryToData(from packet.NodeID, e buffer.Entry) *packet.Data {
@@ -156,13 +99,4 @@ func entryToData(from packet.NodeID, e buffer.Entry) *packet.Data {
 		PayloadBits: e.PayloadBits,
 		Hops:        e.Hops,
 	}
-}
-
-// validateCommon checks arguments shared by the strategy constructors.
-func validateCommon(id packet.NodeID, queueCap int) error {
-	if queueCap <= 0 {
-		return fmt.Errorf("routing: queue capacity %d must be positive", queueCap)
-	}
-	_ = id
-	return nil
 }

@@ -69,8 +69,8 @@ func (s *Sink) OnDataReceived(d *packet.Data, _ packet.ScheduleEntry) bool {
 func (s *Sink) OnTxOutcome([]packet.ScheduleEntry, []packet.NodeID) {}
 
 // OnCycleEnd implements Strategy. A sink's ξ is pinned at 1, so the
-// strategy implements neither DecayTicker nor LazyDecayer and schedules
-// no decay events in any mode.
+// strategy implements no Decayer and schedules no decay events in any
+// mode.
 func (s *Sink) OnCycleEnd(mac.Outcome, float64) {}
 
 // Generate implements Strategy: sinks do not sense.

@@ -63,9 +63,9 @@ func (f *FAD) ExportState() State {
 		LastTx:      f.lastTx,
 		TxEver:      f.txEver,
 		Queue:       f.queue.ExportState(),
-		LazyRunning: f.lazyRunning,
-		NextTick:    f.nextTick,
-		LazyTicks:   f.lazyTicks,
+		LazyRunning: f.running,
+		NextTick:    f.next,
+		LazyTicks:   f.elided,
 		PendingID:   f.pendingID,
 	}
 	for node, xi := range f.pendingXis {
@@ -87,9 +87,7 @@ func (f *FAD) RestoreState(st State) error {
 	f.lastTx = st.LastTx
 	f.txEver = st.TxEver
 	f.queue.RestoreState(st.Queue)
-	f.lazyRunning = st.LazyRunning
-	f.nextTick = st.NextTick
-	f.lazyTicks = st.LazyTicks
+	f.running, f.next, f.elided = st.LazyRunning, st.NextTick, st.LazyTicks
 	f.pendingID = st.PendingID
 	clear(f.pendingXis)
 	for _, p := range st.PendingXis {
@@ -98,62 +96,38 @@ func (f *FAD) RestoreState(st State) error {
 	return nil
 }
 
+// ExportState captures the scheme.
+func (b *fifoScheme) ExportState() State {
+	return State{Kind: b.name, FIFO: b.fifo.ExportState(), PendingID: b.pendingID}
+}
+
+// RestoreState overlays a snapshot onto a freshly built scheme with the
+// same configuration.
+func (b *fifoScheme) RestoreState(st State) error {
+	if st.Kind != b.name {
+		return errKind(b.name, st.Kind)
+	}
+	b.fifo.RestoreState(st.FIFO)
+	b.pendingID = st.PendingID
+	return nil
+}
+
 // ExportState captures the scheme without mutating it.
 func (z *ZBR) ExportState() State {
-	return State{
-		Kind:        z.Name(),
-		FIFO:        z.fifo.ExportState(),
-		History:     z.history,
-		SinkContact: z.sinkContact,
-		LazyRunning: z.lazyRunning,
-		NextTick:    z.nextTick,
-		LazyTicks:   z.lazyTicks,
-		PendingID:   z.pendingID,
-	}
+	st := z.fifoScheme.ExportState()
+	st.History, st.SinkContact = z.history, z.sinkContact
+	st.LazyRunning, st.NextTick, st.LazyTicks = z.running, z.next, z.elided
+	return st
 }
 
 // RestoreState overlays a snapshot onto a freshly built ZBR with the same
 // configuration.
 func (z *ZBR) RestoreState(st State) error {
-	if st.Kind != z.Name() {
-		return errKind(z.Name(), st.Kind)
+	if err := z.fifoScheme.RestoreState(st); err != nil {
+		return err
 	}
-	z.fifo.RestoreState(st.FIFO)
-	z.history = st.History
-	z.sinkContact = st.SinkContact
-	z.lazyRunning = st.LazyRunning
-	z.nextTick = st.NextTick
-	z.lazyTicks = st.LazyTicks
-	z.pendingID = st.PendingID
-	return nil
-}
-
-// ExportState captures the scheme.
-func (d *Direct) ExportState() State {
-	return State{Kind: d.Name(), FIFO: d.fifo.ExportState(), PendingID: d.pendingID}
-}
-
-// RestoreState overlays a snapshot onto a freshly built Direct.
-func (d *Direct) RestoreState(st State) error {
-	if st.Kind != d.Name() {
-		return errKind(d.Name(), st.Kind)
-	}
-	d.fifo.RestoreState(st.FIFO)
-	d.pendingID = st.PendingID
-	return nil
-}
-
-// ExportState captures the scheme.
-func (e *Epidemic) ExportState() State {
-	return State{Kind: e.Name(), FIFO: e.fifo.ExportState()}
-}
-
-// RestoreState overlays a snapshot onto a freshly built Epidemic.
-func (e *Epidemic) RestoreState(st State) error {
-	if st.Kind != e.Name() {
-		return errKind(e.Name(), st.Kind)
-	}
-	e.fifo.RestoreState(st.FIFO)
+	z.history, z.sinkContact = st.History, st.SinkContact
+	z.running, z.next, z.elided = st.LazyRunning, st.NextTick, st.LazyTicks
 	return nil
 }
 

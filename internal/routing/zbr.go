@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 
-	"dftmsn/internal/buffer"
 	"dftmsn/internal/mac"
 	"dftmsn/internal/packet"
 )
@@ -49,31 +48,21 @@ func (c ZBRConfig) Validate() error {
 // paper's scheme ("ZBR differs from OPT only in the message transmission
 // scheme").
 type ZBR struct {
-	id     packet.NodeID
+	fifoScheme
 	cfg    ZBRConfig
-	fifo   *buffer.FIFO
 	isSink func(packet.NodeID) bool
 
 	history     float64
 	sinkContact bool
 
-	// Lazy closed-form history decay (see routing.LazyDecayer): epochs
-	// pending at nextTick, nextTick+lazyInterval, … settle on read. The
-	// first pending epoch absorbs the current sink-contact flag, later
-	// ones see it cleared — identical to firing OnDecayTick per epoch.
-	lazyClock    func() float64
-	lazyInterval float64
-	lazyRunning  bool
-	nextTick     float64
-	lazyTicks    uint64
-
-	pendingID packet.MessageID
+	// decaySeq runs the history epochs. The first pending epoch absorbs
+	// the current sink-contact flag, later ones see it cleared.
+	decaySeq
 }
 
 var (
-	_ Strategy    = (*ZBR)(nil)
-	_ DecayTicker = (*ZBR)(nil)
-	_ LazyDecayer = (*ZBR)(nil)
+	_ Strategy = (*ZBR)(nil)
+	_ Decayer  = (*ZBR)(nil)
 )
 
 // NewZBR builds the baseline for node id. isSink identifies sink node IDs
@@ -85,101 +74,59 @@ func NewZBR(id packet.NodeID, cfg ZBRConfig, isSink func(packet.NodeID) bool) (*
 	if isSink == nil {
 		return nil, fmt.Errorf("routing: ZBR needs an isSink classifier")
 	}
-	fifo, err := buffer.NewFIFO(cfg.QueueCapacity)
+	base, err := newFIFOScheme("ZBR", id, cfg.QueueCapacity)
 	if err != nil {
 		return nil, err
 	}
-	return &ZBR{id: id, cfg: cfg, fifo: fifo, isSink: isSink}, nil
+	z := &ZBR{fifoScheme: base, cfg: cfg, isSink: isSink}
+	z.apply = func(float64) {
+		z.history = z.epoch(z.history, z.sinkContact)
+		z.sinkContact = false
+	}
+	return z, nil
 }
 
-// Name implements Strategy.
-func (z *ZBR) Name() string { return "ZBR" }
+// epoch is ZBR's history rule: when an epoch ends, the EWMA absorbs
+// whether any direct sink contact happened during it. It runs on a time
+// basis rather than per cycle because ZebraNet's metric is a success
+// *rate* over scan periods, not per contact.
+func (z *ZBR) epoch(h float64, contact bool) float64 {
+	c := 0.0
+	if contact {
+		c = 1
+	}
+	return (1-z.cfg.Beta)*h + z.cfg.Beta*c
+}
 
 // Xi implements Strategy: ZBR's channel-access metric is its history, so
 // the Eq. 9 adaptive listening keeps favouring nodes with little to offer
 // as receivers, mirroring OPT's MAC behaviour.
 func (z *ZBR) Xi() float64 {
-	z.settleDecay()
+	z.settle()
 	return z.history
 }
 
 // History returns the node's direct-to-sink success history.
 func (z *ZBR) History() float64 {
-	z.settleDecay()
+	z.settle()
 	return z.history
 }
 
-// EnableLazyDecay implements LazyDecayer.
-func (z *ZBR) EnableLazyDecay(clock func() float64, interval float64) {
-	z.lazyClock = clock
-	z.lazyInterval = interval
-}
-
-// StartLazyDecay implements LazyDecayer.
-func (z *ZBR) StartLazyDecay(now float64) {
-	if z.lazyRunning {
-		return
-	}
-	z.lazyRunning = true
-	z.nextTick = now + z.lazyInterval
-}
-
-// StopLazyDecay implements LazyDecayer.
-func (z *ZBR) StopLazyDecay(now float64) {
-	z.settleTo(now)
-	z.lazyRunning = false
-}
-
-// ElidedDecayTicks implements LazyDecayer.
-func (z *ZBR) ElidedDecayTicks() uint64 { return z.lazyTicks }
-
-// settleDecay applies every epoch pending at the current clock.
-func (z *ZBR) settleDecay() {
-	if z.lazyClock == nil || !z.lazyRunning {
-		return
-	}
-	z.settleTo(z.lazyClock())
-}
-
-// settleTo replays pending epochs with end times <= now. Each replay is
-// the exact OnDecayTick body, so the first pending epoch consumes the
-// live sink-contact flag and clears it for the rest.
-func (z *ZBR) settleTo(now float64) {
-	if z.lazyClock == nil || !z.lazyRunning {
-		return
-	}
-	for z.nextTick <= now {
-		z.applyEpoch()
-		z.lazyTicks++
-		z.nextTick += z.lazyInterval
-	}
-}
-
-// XiAt implements LazyDecayer: the history a read at time t will see,
+// XiAt implements Decayer: the history a read at time t will see,
 // assuming no sink contact or reset in between.
 func (z *ZBR) XiAt(t float64) float64 {
-	z.settleDecay()
-	h := z.history
-	if z.lazyClock == nil || !z.lazyRunning {
-		return h
-	}
-	contact := 0.0
-	if z.sinkContact {
-		contact = 1
-	}
-	for tick := z.nextTick; tick <= t; tick += z.lazyInterval {
-		h = (1-z.cfg.Beta)*h + z.cfg.Beta*contact
-		contact = 0
-	}
+	z.settle()
+	h, contact := z.history, z.sinkContact
+	z.peek(t, func(float64) {
+		h = z.epoch(h, contact)
+		contact = false
+	})
 	return h
 }
 
-// HasData implements Strategy.
-func (z *ZBR) HasData() bool { return z.fifo.Len() > 0 }
-
 // SenderMetrics implements Strategy.
 func (z *ZBR) SenderMetrics() (float64, float64, float64) {
-	z.settleDecay()
+	z.settle()
 	return z.history, 0, z.history
 }
 
@@ -187,7 +134,7 @@ func (z *ZBR) SenderMetrics() (float64, float64, float64) {
 // strictly exceeds the sender's, or when both are below the no-information
 // floor (the random-walk regime), and it has buffer space.
 func (z *ZBR) Qualify(rts *packet.RTS) (bool, float64, int, float64) {
-	z.settleDecay()
+	z.settle()
 	avail := z.fifo.Available()
 	better := z.history > rts.History
 	uninformed := z.history <= z.cfg.NoInfoFloor && rts.History <= z.cfg.NoInfoFloor
@@ -204,25 +151,14 @@ func (z *ZBR) BuildSchedule(cands []mac.Candidate) ([]packet.ScheduleEntry, *pac
 	if !ok || len(cands) == 0 {
 		return nil, nil
 	}
-	best := sortCandidatesByHistory(cands)[0]
+	best := sortCandidates(cands, byHistory)[0]
 	z.pendingID = head.ID
 	return []packet.ScheduleEntry{{Node: best.Node, FTD: 0}}, entryToData(z.id, head)
 }
 
-// OnDataReceived implements Strategy.
-func (z *ZBR) OnDataReceived(d *packet.Data, _ packet.ScheduleEntry) bool {
-	return z.fifo.Insert(buffer.Entry{
-		ID:          d.ID,
-		Origin:      d.Origin,
-		CreatedAt:   d.CreatedAt,
-		PayloadBits: d.PayloadBits,
-		Hops:        d.Hops + 1,
-	})
-}
-
 // OnTxOutcome implements Strategy: an acknowledged hand-off removes the
 // local copy (single-copy forwarding); a direct sink contact feeds the
-// history update at cycle end.
+// history update at the end of the current epoch.
 func (z *ZBR) OnTxOutcome(_ []packet.ScheduleEntry, acked []packet.NodeID) {
 	if len(acked) == 0 {
 		return
@@ -232,64 +168,17 @@ func (z *ZBR) OnTxOutcome(_ []packet.ScheduleEntry, acked []packet.NodeID) {
 		if z.isSink(a) {
 			// Epochs that ended before this contact must absorb the old
 			// flag state before the new contact is visible.
-			z.settleDecay()
+			z.settle()
 			z.sinkContact = true
 		}
 	}
 }
 
-// OnCycleEnd implements Strategy: ZBR's per-cycle state (the sink-contact
-// flag) is folded into the history on a time basis in OnDecayTick, because
-// ZebraNet's metric is a success *rate* over scan periods, not per-contact.
-func (z *ZBR) OnCycleEnd(mac.Outcome, float64) {}
-
-// OnDecayTick implements DecayTicker: one history epoch ends — the EWMA
-// absorbs whether any direct sink contact happened during it. Only the
-// eager control arm drives it; under lazy decay applyEpoch runs in
-// settleTo instead.
-func (z *ZBR) OnDecayTick(float64) { z.applyEpoch() }
-
-// applyEpoch folds the sink-contact flag into the history EWMA.
-func (z *ZBR) applyEpoch() {
-	contact := 0.0
-	if z.sinkContact {
-		contact = 1
-	}
-	z.history = (1-z.cfg.Beta)*z.history + z.cfg.Beta*contact
-	z.sinkContact = false
-}
-
-// Generate implements Strategy.
-func (z *ZBR) Generate(id packet.MessageID, now float64, payloadBits int) bool {
-	return z.fifo.Insert(buffer.Entry{
-		ID:          id,
-		Origin:      z.id,
-		CreatedAt:   now,
-		PayloadBits: payloadBits,
-	})
-}
-
-// ImportantCount implements Strategy: without FTDs, every queued message
-// counts as important, so the sleep α reduces to buffer occupancy.
-func (z *ZBR) ImportantCount() int { return z.fifo.Len() }
-
-// QueueLen implements Strategy.
-func (z *ZBR) QueueLen() int { return z.fifo.Len() }
-
-// QueueCap implements Strategy.
-func (z *ZBR) QueueCap() int { return z.fifo.Cap() }
-
-// Drops implements Strategy.
-func (z *ZBR) Drops() buffer.DropCounts { return z.fifo.Drops() }
-
-// WipeQueue implements Strategy.
-func (z *ZBR) WipeQueue() []packet.MessageID { return z.fifo.Wipe() }
-
 // ResetRouting implements Strategy: the direct-to-sink history EWMA starts
 // over from zero. Pending epochs settle against the old state first so the
 // elided-tick ledger matches the eager arm's fired ticks.
 func (z *ZBR) ResetRouting() {
-	z.settleDecay()
+	z.settle()
 	z.history = 0
 	z.sinkContact = false
 }

@@ -59,12 +59,14 @@ func elisionConfigs() map[string]Config {
 }
 
 // TestEagerDecayMatchesLazy is the end-to-end differential property test
-// for the event-elision tentpole: with Config.EagerDecay as the only
+// for the event-elision engine: with Config.EagerDecay as the only
 // difference, the whole Result minus the kernel event counters — delivery
 // summary, channel stats, energy, resilience — and the full typed
 // telemetry event stream must be identical. On top of that, the elided
 // events must account exactly for the gap: the lazy arm's fired + elided
-// events equal the eager arm's fired events.
+// events equal the eager arm's fired events. It pins equivalence on this
+// matrix only; idle-span coalescing is known to diverge from the eager
+// arm on larger or other-seeded configurations (docs/PROTOCOL.md §11).
 func TestEagerDecayMatchesLazy(t *testing.T) {
 	for name, cfg := range elisionConfigs() {
 		name, cfg := name, cfg

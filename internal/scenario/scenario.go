@@ -98,9 +98,12 @@ type Config struct {
 	LinearMedium bool `json:"linear_medium,omitempty"`
 	// EagerDecay runs the nodes with per-node decay tickers and per-cycle
 	// MAC events instead of the event-elision engine (lazy closed-form ξ
-	// decay, coalesced idle spans). The two are verified equivalent
-	// (bit-identical results and telemetry); this is the control arm for
-	// the differential tests and the scale benchmarks. Leave it false.
+	// decay, coalesced idle spans); this is the control arm for the
+	// differential tests and the scale benchmarks. Leave it false. The
+	// two arms are verified bit-identical (results and telemetry) on the
+	// differential matrix only: lazy decay alone is exact on the Fig. 2
+	// grid too, but idle-span coalescing diverges there and on the
+	// scale-10k shape (docs/PROTOCOL.md §11).
 	EagerDecay bool `json:"eager_decay,omitempty"`
 	// Recorder optionally receives the run's typed trace-v2 events (nil =
 	// none). Attach a telemetry.JSONLWriter for files, a telemetry.Buffer
@@ -513,7 +516,7 @@ func New(cfg Config) (*Sim, error) {
 	// Sensors (IDs NumSinks..NumSinks+NumSensors-1).
 	for i := 0; i < cfg.NumSensors; i++ {
 		id := packet.NodeID(cfg.NumSinks + i)
-		strat, err := core.NewStrategyWithOverrides(cfg.Scheme, id, cfg.QueueCapacity, isSink,
+		strat, err := core.NewStrategy(cfg.Scheme, id, cfg.QueueCapacity, isSink,
 			core.StrategyOverrides{
 				DeliveryThreshold:   cfg.DeliveryThreshold,
 				DropThreshold:       cfg.DropThreshold,

@@ -27,10 +27,6 @@ type Duration = float64
 // Infinity is a time later than any event a simulation can schedule.
 const Infinity Time = math.MaxFloat64
 
-// ErrStopped is returned by Run when the simulation was halted by Stop
-// before reaching its horizon.
-var ErrStopped = errors.New("sim: stopped")
-
 // ErrCancelled is returned by Run when the cooperative cancellation probe
 // armed via SetCancel reported true. Cancellation is observed strictly
 // between events — never mid-event — so every event the run did fire is
@@ -112,7 +108,6 @@ type Scheduler struct {
 	queue     eventHeap
 	now       Time
 	seq       uint64
-	stopped   bool
 	fired     uint64
 	scheduled uint64
 	elided    uint64
@@ -172,9 +167,6 @@ func (s *Scheduler) NextEventTime() (Time, bool) {
 	}
 	return s.queue[0].at, true
 }
-
-// Pending returns the number of events currently scheduled.
-func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // (t < Now) is a programming error and is reported via the returned error.
@@ -437,7 +429,6 @@ func (s *Scheduler) ResetForRestore(st KernelState) {
 	s.fired = st.Fired
 	s.scheduled = st.Scheduled
 	s.elided = st.Elided
-	s.stopped = false
 }
 
 // Cancel removes a pending event from the queue. Cancelling a nil, fired, or
@@ -450,9 +441,6 @@ func (s *Scheduler) Cancel(e *Event) {
 	e.index = -1
 	e.fn = nil
 }
-
-// Stop halts the run loop after the currently executing event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
 
 // SetCancel registers a cooperative cancellation probe. Run calls it between
 // events (every CancelStride events, and once on entry); when it returns
@@ -571,14 +559,11 @@ func (s *Scheduler) dispatch(e *Event) {
 }
 
 // Run executes events in order until the queue drains, the clock would pass
-// horizon, or Stop is called. The clock is left at min(horizon, last event
-// time). It returns ErrStopped if halted by Stop, nil otherwise.
+// horizon, or the cancellation probe fires. The clock is left at
+// min(horizon, last event time). It returns ErrCancelled if cancelled, nil
+// otherwise.
 func (s *Scheduler) Run(horizon Time) error {
-	s.stopped = false
 	for len(s.queue) > 0 {
-		if s.stopped {
-			return ErrStopped
-		}
 		if s.Cancelled() {
 			return ErrCancelled
 		}

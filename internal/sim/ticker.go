@@ -45,9 +45,6 @@ func (t *Ticker) Stop() {
 	t.sched.Cancel(t.ev)
 }
 
-// Active reports whether the ticker is currently running.
-func (t *Ticker) Active() bool { return t.active }
-
 // arm (re)schedules the next tick, reusing the ticker's Event object: the
 // ticker is its handle's exclusive owner, so Reschedule is equivalent to
 // Cancel+After without the per-tick allocation.

@@ -2,10 +2,8 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 )
 
 // Counter is a monotonically increasing total.
@@ -338,35 +336,6 @@ type Sample struct {
 type Series struct {
 	Columns []string
 	Samples []Sample
-}
-
-// WriteCSV emits the series with a header row ("t" plus the columns).
-func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "t"); err != nil {
-		return err
-	}
-	for _, c := range s.Columns {
-		if _, err := io.WriteString(w, ","+c); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
-	for _, row := range s.Samples {
-		if _, err := io.WriteString(w, strconv.FormatFloat(row.Time, 'g', -1, 64)); err != nil {
-			return err
-		}
-		for _, v := range row.Values {
-			if _, err := io.WriteString(w, ","+strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Sampler snapshots a registry at a fixed virtual-time interval. Drive it

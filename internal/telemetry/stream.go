@@ -75,13 +75,6 @@ func (t *StreamTee) Len() uint64 {
 	return uint64(len(t.events))
 }
 
-// Closed reports whether the stream has ended.
-func (t *StreamTee) Closed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
 // ReadAt copies up to limit events starting at offset (limit <= 0 means
 // all available). next is the offset one past the last returned event —
 // pass it back to resume with no gaps and no duplicates. done reports that

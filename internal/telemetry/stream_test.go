@@ -104,8 +104,8 @@ func TestStreamTeeReset(t *testing.T) {
 		tee.Record(ev)
 	}
 	tee.Reset()
-	if tee.Len() != 0 || tee.Closed() {
-		t.Fatalf("after Reset: len=%d closed=%v", tee.Len(), tee.Closed())
+	if _, _, done := tee.ReadAt(0, 0); tee.Len() != 0 || done {
+		t.Fatalf("after Reset: len=%d done=%v", tee.Len(), done)
 	}
 	for _, ev := range evs {
 		tee.Record(ev)
