@@ -23,14 +23,17 @@
 //	GET  /v1/jobs/{id}/stream    live trace-v2 event stream as SSE for jobs
 //	                   submitted with "stream": true; resumable from any
 //	                   offset (?offset= or Last-Event-ID), heartbeats while
-//	                   idle, "event: done" terminator (PROTOCOL.md section 14)
+//	                   idle, "event: done" terminator; a finished job's
+//	                   stream is served by re-running its config up to
+//	                   the recorded event count (PROTOCOL.md section 14)
 //	GET  /v1/jobs/{id}/progress  latest kernel progress snapshot (virtual
 //	                   clock, fraction of horizon, event rate, ETA) as JSON
 //	GET  /healthz      liveness (200 while the process runs)
 //	GET  /readyz       readiness (503 once draining)
 //	GET  /metrics      Prometheus text exposition: job/admission counters
-//	                   (per-tenant labels), queue and cache gauges,
-//	                   queue-wait and run-duration histograms
+//	                   (per-tenant labels, stream re-runs), queue, cache
+//	                   and live-stream gauges, queue-wait and run-duration
+//	                   histograms
 //
 // -log LEVEL enables structured logs on stderr (debug, info, warn, error),
 // every line carrying the job id as a correlation attribute. -debug-addr

@@ -242,6 +242,17 @@ func TestRunWithEagerDecay(t *testing.T) {
 	}
 }
 
+// trimDigest cuts a -v digest to its simulated outcome: from the
+// "generated" line on, wall-clock time masked, any snapshot note dropped.
+func trimDigest(s string) string {
+	s = s[strings.Index(s, "generated"):]
+	s = wallClock.ReplaceAllString(s, "in WALL)")
+	if i := strings.Index(s, "snapshot"); i >= 0 {
+		s = s[:i]
+	}
+	return s
+}
+
 // TestRunSnapshotRestore checkpoints a run at mid-horizon, restores it in
 // a second process invocation, and checks the continued run prints the
 // exact digest of an uninterrupted one.
@@ -268,19 +279,11 @@ func TestRunSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	trim := func(s string) string {
-		s = s[strings.Index(s, "generated"):]
-		s = wallClock.ReplaceAllString(s, "in WALL)")
-		if i := strings.Index(s, "snapshot"); i >= 0 {
-			s = s[:i]
-		}
-		return s
-	}
-	if trim(straight.String()) != trim(snapped.String()) {
+	if trimDigest(straight.String()) != trimDigest(snapped.String()) {
 		t.Errorf("taking a snapshot perturbed the digest:\n%s\n---\n%s",
 			straight.String(), snapped.String())
 	}
-	if trim(straight.String()) != trim(restored.String()) {
+	if trimDigest(straight.String()) != trimDigest(restored.String()) {
 		t.Errorf("restored digest differs from the straight run:\n%s\n---\n%s",
 			straight.String(), restored.String())
 	}
@@ -295,6 +298,32 @@ func TestRunSnapshotRestore(t *testing.T) {
 	}
 	if err := run([]string{"-restore", path, "-config", cfgPath}, &sb); err == nil {
 		t.Error("-restore with -config accepted")
+	}
+}
+
+// TestRunSnapshotAfterKill checkpoints a run just after a one-shot kill
+// fired: the snapshot encodes (a fired kill is a nil event reference, which
+// the format must carry), and its restore continues to the straight run's
+// digest.
+func TestRunSnapshotAfterKill(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "F")
+	base := []string{"-sensors", "25", "-sinks", "2", "-duration", "800",
+		"-kill-at", "400", "-kill-fraction", "0.2", "-v"}
+
+	var straight, snapped, restored strings.Builder
+	if err := run(base, &straight); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(append([]string{}, base...),
+		"-snapshot-at", "401.5", "-snapshot", path), &snapped); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-restore", path, "-v"}, &restored); err != nil {
+		t.Fatal(err)
+	}
+	if trimDigest(straight.String()) != trimDigest(restored.String()) {
+		t.Errorf("restored digest differs from the straight run:\n%s\n---\n%s",
+			straight.String(), restored.String())
 	}
 }
 

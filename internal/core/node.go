@@ -195,7 +195,7 @@ const (
 type idleSpan struct {
 	active  bool
 	cycles  []planCycle
-	rngSnap simrand.State
+	rngSnap simrand.Mark
 }
 
 // planCycle is one planned listen-only cycle of an idle span.
@@ -404,7 +404,7 @@ func (n *Node) startCycle() {
 	tau := n.rng.SlotIn(sigma)
 	if err := n.engine.StartCycle(tau); err != nil {
 		// The radio is mid-switch or otherwise unavailable: retry shortly.
-		n.retryEvs = appendPending(n.retryEvs, n.sched.After(n.params.DecayInterval/100+1e-3, n.startCycleFn))
+		n.retryEvs = n.rearm(n.retryEvs, n.params.DecayInterval/100+1e-3, n.startCycleFn)
 	}
 }
 
@@ -450,7 +450,7 @@ func (n *Node) planIdleSpan(tauMax int) bool {
 	now := n.sched.Now()
 	p := &n.plan
 	p.reset(n.planCap())
-	p.rngSnap = n.rng.State()
+	p.rngSnap = n.rng.Mark()
 	slot := n.macCfg.SlotTime
 	listen := float64(n.macCfg.ReceiverListenSlots) * slot
 	start := now
@@ -527,7 +527,7 @@ func (n *Node) materialize(now float64) {
 	}
 	// Rewind and re-consume the τ draws for cycles 0..i — the ones the
 	// eager arm has made by now; the drawn-ahead tail is discarded.
-	n.rng.Restore(p.rngSnap)
+	n.rng.Rewind(p.rngSnap)
 	for _, c := range p.cycles[:i+1] {
 		n.rng.SlotIn(c.sigma)
 	}
@@ -730,20 +730,27 @@ func (n *Node) goToSleep(now float64) {
 	n.stats.Sleeps++
 	n.stats.SleepSeconds += dur
 	n.rec.Record(telemetry.Event{Time: now, Node: n.id, Type: telemetry.EvSleep, Value: dur})
-	n.wakeEvs = appendPending(n.wakeEvs, n.sched.After(dur, n.wakeFn))
+	n.wakeEvs = n.rearm(n.wakeEvs, dur, n.wakeFn)
 }
 
-// appendPending appends ev to evs, pruning entries that have already fired
-// so the retained-handle slices stay bounded by the number of genuinely
-// concurrent events (in practice one, occasionally two across a crash).
-func appendPending(evs []*sim.Event, ev *sim.Event) []*sim.Event {
+// rearm schedules fn d seconds from now and retains its handle in evs,
+// pruning handles that have already fired so the slice stays bounded by
+// the number of genuinely concurrent events (in practice one, occasionally
+// two across a crash). The first fired handle is reused through
+// Reschedule, which consumes the same single sequence number as After and
+// leaves the firing order unchanged, but allocates no Event.
+func (n *Node) rearm(evs []*sim.Event, d float64, fn func()) []*sim.Event {
+	var spare *sim.Event
 	out := evs[:0]
 	for _, e := range evs {
-		if e.Pending() {
+		switch {
+		case e.Pending():
 			out = append(out, e)
+		case spare == nil:
+			spare = e
 		}
 	}
-	return append(out, ev)
+	return append(out, n.sched.Reschedule(spare, d, "", fn))
 }
 
 // onAwake is called when the radio finishes powering on.

@@ -140,7 +140,7 @@ func (n *Node) ExportState() (NodeState, error) {
 			Listens: make([]float64, k),
 			Ends:    make([]float64, k),
 			Sigmas:  make([]int, k),
-			RNGSnap: append(simrand.State(nil), p.rngSnap...),
+			RNGSnap: p.rngSnap.State(),
 		}
 		for i, c := range p.cycles {
 			plan.Starts[i], plan.Listens[i], plan.Ends[i], plan.Sigmas[i] = c.start, c.listen, c.end, c.sigma
@@ -219,7 +219,11 @@ func (n *Node) RestoreState(st NodeState) error {
 		for i := range k {
 			p.cycles = append(p.cycles, planCycle{start: sp.Starts[i], listen: sp.Listens[i], end: sp.Ends[i], sigma: sp.Sigmas[i]})
 		}
-		p.rngSnap = append(simrand.State(nil), st.Plan.RNGSnap...)
+		m, err := simrand.MarkOf(st.Plan.RNGSnap)
+		if err != nil {
+			return fmt.Errorf("core: node %d idle-span plan: %w", n.id, err)
+		}
+		p.rngSnap = m
 		ev, err := n.sched.InjectAt(st.PlanEndEv, n.planEndFn)
 		if err != nil {
 			return fmt.Errorf("core: node %d: %w", n.id, err)

@@ -25,6 +25,13 @@ type OutageState struct {
 	Up   *sim.EventRef
 }
 
+// KillState is one one-shot kill's snapshot: its still-pending shot (nil
+// once fired). A struct rather than a bare reference because gob rejects
+// nil slice elements; a nil field inside an element encodes fine.
+type KillState struct {
+	Ev *sim.EventRef
+}
+
 // State is an Injector's complete snapshot. Chains appear in arm order
 // (the victim-selection permutation), outages and kills in plan order.
 type State struct {
@@ -35,7 +42,7 @@ type State struct {
 	RNG      simrand.State
 	Chains   []ChainState
 	Outages  []OutageState
-	Kills    []*sim.EventRef
+	Kills    []KillState
 }
 
 // Pristine reports whether no fault event had fired when the snapshot was
@@ -57,8 +64,8 @@ func (st *State) Pristine() bool {
 			return false
 		}
 	}
-	for _, ref := range st.Kills {
-		if ref == nil {
+	for _, ks := range st.Kills {
+		if ks.Ev == nil {
 			return false
 		}
 	}
@@ -86,7 +93,7 @@ func (in *Injector) ExportState() State {
 		st.Outages = append(st.Outages, OutageState{Down: sim.Ref(w.downEv), Up: sim.Ref(w.upEv)})
 	}
 	for _, k := range in.kills {
-		st.Kills = append(st.Kills, sim.Ref(k.ev))
+		st.Kills = append(st.Kills, KillState{Ev: sim.Ref(k.ev)})
 	}
 	return st
 }
@@ -177,11 +184,11 @@ func (in *Injector) RestoreState(st State) error {
 		w.upEv = ev
 		in.outages = append(in.outages, w)
 	}
-	for i, ref := range st.Kills {
+	for i, ks := range st.Kills {
 		k := in.plan.Kills[i]
 		shot := &killShot{}
 		shot.fn = func() { in.fireKill(k) }
-		ev, err := in.sched.InjectAt(ref, shot.fn)
+		ev, err := in.sched.InjectAt(ks.Ev, shot.fn)
 		if err != nil {
 			return fmt.Errorf("faults: restoring kill: %w", err)
 		}

@@ -42,7 +42,8 @@ func compareArm(t *testing.T, arm string, wantRes, gotRes Result, wantEvents, go
 // bit-identical on the whole Result and the full typed telemetry stream:
 //
 //  1. the straight run to the horizon;
-//  2. checkpoint mid-run, encode + decode the snapshot through the
+//  2. checkpoint mid-run — and again just after the first fired event of
+//     each fault clause — encode + decode the snapshot through the
 //     versioned codec, restore in a fresh process image, continue;
 //  3. fork in memory at the checkpoint, continue the clone.
 //
@@ -71,69 +72,118 @@ func TestSnapshotDifferential(t *testing.T) {
 			}
 			baseRes, baseEvents := straight()
 
-			// Checkpoint at ~40% of the horizon.
-			mid := 0.4 * cfg.DurationSeconds
-			buf := &telemetry.Buffer{}
-			c := cfg
-			c.Recorder = buf
-			s, err := New(c)
-			if err != nil {
-				t.Fatal(err)
+			// Checkpoint at ~40% of the horizon, and again just after the
+			// first fired event of each discrete fault clause, so the
+			// snapshot carries fired as well as pending fault events.
+			checkpointArms(t, cfg, 0.4*cfg.DurationSeconds, false, baseRes, baseEvents)
+			for _, ft := range firstFiredFaults(cfg.Faults, baseEvents) {
+				checkpointArms(t, cfg, ft+1, true, baseRes, baseEvents)
 			}
-			snap, err := s.CheckpointAt(mid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if snap.Time < mid || snap.Time >= cfg.DurationSeconds {
-				t.Fatalf("checkpoint landed at %v s, want within [%v, %v)", snap.Time, mid, cfg.DurationSeconds)
-			}
-			prefix := append([]telemetry.Event(nil), buf.Events...)
-
-			// Round-trip the snapshot through the versioned codec: the
-			// restore arm continues from decoded bytes, exactly like a fresh
-			// process image would.
-			blob, err := snapshot.EncodeBytes(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := snapshot.DecodeBytes(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Arm 3: fork in memory before the original moves again.
-			forkBuf := &telemetry.Buffer{}
-			fork, err := s.Fork(func(c *Config) { c.Recorder = forkBuf })
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// The exporting simulation continues to the horizon untouched.
-			origRes, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareArm(t, "original-after-export", baseRes, origRes, baseEvents, buf.Events)
-
-			forkRes, err := fork.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareArm(t, "fork", baseRes, forkRes, baseEvents, concatEvents(prefix, forkBuf.Events))
-
-			// Arm 2: restore from the decoded bytes and continue.
-			restBuf := &telemetry.Buffer{}
-			restored, err := Restore(decoded, func(c *Config) { c.Recorder = restBuf })
-			if err != nil {
-				t.Fatal(err)
-			}
-			restRes, err := restored.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareArm(t, "restore", baseRes, restRes, baseEvents, concatEvents(prefix, restBuf.Events))
 		})
 	}
+}
+
+// firstFiredFaults returns the time of the first fired event of each
+// discrete fault clause in plan: the first churn crash (read from the
+// recorded stream, since its time is drawn), the first sink outage, and
+// the first kill. Burst loss is continuous background and has none.
+func firstFiredFaults(plan *faults.Plan, events []telemetry.Event) []float64 {
+	if plan == nil {
+		return nil
+	}
+	var out []float64
+	if plan.Churn != nil {
+		for _, ev := range events {
+			if ev.Type == telemetry.EvCrash {
+				out = append(out, ev.Time)
+				break
+			}
+		}
+	}
+	if len(plan.SinkOutages) > 0 {
+		first := plan.SinkOutages[0].StartSeconds
+		for _, o := range plan.SinkOutages {
+			first = min(first, o.StartSeconds)
+		}
+		out = append(out, first)
+	}
+	if len(plan.Kills) > 0 {
+		first := plan.Kills[0].AtSeconds
+		for _, k := range plan.Kills {
+			first = min(first, k.AtSeconds)
+		}
+		out = append(out, first)
+	}
+	return out
+}
+
+// checkpointArms checkpoints cfg at the first quiescent instant at or after
+// t0 and checks the original, fork and decode-restore arms against the
+// straight run. afterFault asserts that a fault event has fired by then.
+func checkpointArms(t *testing.T, cfg Config, t0 float64, afterFault bool, baseRes Result, baseEvents []telemetry.Event) {
+	t.Helper()
+	buf := &telemetry.Buffer{}
+	c := cfg
+	c.Recorder = buf
+	s, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.CheckpointAt(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Time < t0 || snap.Time >= cfg.DurationSeconds {
+		t.Fatalf("checkpoint landed at %v s, want within [%v, %v)", snap.Time, t0, cfg.DurationSeconds)
+	}
+	if afterFault && (snap.Injector == nil || snap.Injector.Pristine()) {
+		t.Fatalf("checkpoint at %v s: no fault has fired", snap.Time)
+	}
+	prefix := append([]telemetry.Event(nil), buf.Events...)
+
+	// Round-trip the snapshot through the versioned codec: the restore arm
+	// continues from decoded bytes, exactly like a fresh process image
+	// would.
+	blob, err := snapshot.EncodeBytes(snap)
+	if err != nil {
+		t.Fatalf("checkpoint at %v s: %v", snap.Time, err)
+	}
+	decoded, err := snapshot.DecodeBytes(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Arm 3: fork in memory before the original moves again.
+	forkBuf := &telemetry.Buffer{}
+	fork, err := s.Fork(func(c *Config) { c.Recorder = forkBuf })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The exporting simulation continues to the horizon untouched.
+	origRes, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareArm(t, "original-after-export", baseRes, origRes, baseEvents, buf.Events)
+
+	forkRes, err := fork.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareArm(t, "fork", baseRes, forkRes, baseEvents, concatEvents(prefix, forkBuf.Events))
+
+	// Arm 2: restore from the decoded bytes and continue.
+	restBuf := &telemetry.Buffer{}
+	restored, err := Restore(decoded, func(c *Config) { c.Recorder = restBuf })
+	if err != nil {
+		t.Fatal(err)
+	}
+	restRes, err := restored.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareArm(t, "restore", baseRes, restRes, baseEvents, concatEvents(prefix, restBuf.Events))
 }
 
 // TestPeriodicCheckpointsDontPerturb pins checkpointing inside a run:

@@ -28,7 +28,8 @@ func terminalState(s string) bool {
 }
 
 // journalEntry is one fsync'd line of the job journal: a state transition,
-// carrying the submission on "queued" and the result payload on "done".
+// carrying the submission on "queued", the result payload on "done", and a
+// streamed job's event count on its terminal state.
 type journalEntry struct {
 	Job     string          `json:"job"`
 	State   string          `json:"state"`
@@ -40,6 +41,7 @@ type journalEntry struct {
 	Cached  bool            `json:"cached,omitempty"`
 	Request *Request        `json:"request,omitempty"`
 	Payload json.RawMessage `json:"payload,omitempty"`
+	Events  *uint64         `json:"events,omitempty"`
 }
 
 // journal is the crash-safe write-ahead log of job state transitions:
@@ -117,6 +119,7 @@ type replayedJob struct {
 	Error   string
 	Cached  bool
 	Payload json.RawMessage
+	Events  *uint64
 }
 
 // replayJournal reads a journal and folds it into per-job final states, in
@@ -191,6 +194,9 @@ func replayJournal(path string) (jobs []replayedJob, validEnd int64, err error) 
 		}
 		if len(e.Payload) != 0 {
 			j.Payload = append(json.RawMessage(nil), e.Payload...)
+		}
+		if e.Events != nil {
+			j.Events = e.Events
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -20,7 +20,7 @@ var counterNames = []string{
 	"jobs_submitted", "jobs_done", "jobs_cancelled", "jobs_interrupted",
 	"jobs_quarantined", "jobs_resumed", "retries",
 	"rejected_queue_full", "rejected_quota", "cache_served",
-	"stream_requests",
+	"stream_requests", "stream_replays",
 }
 
 // tenantCounters are the counter families that additionally keep one
@@ -55,6 +55,7 @@ type serviceMetrics struct {
 	gQueueCap     *telemetry.Gauge
 	gRunning      *telemetry.Gauge
 	gCacheEntries *telemetry.Gauge
+	gTeeEvents    *telemetry.Gauge
 	cCacheHits    *telemetry.Counter
 	cCacheMisses  *telemetry.Counter
 }
@@ -75,6 +76,7 @@ func newServiceMetrics() *serviceMetrics {
 	m.gQueueCap = m.reg.Gauge("queue_capacity")
 	m.gRunning = m.reg.Gauge("running")
 	m.gCacheEntries = m.reg.Gauge("cache_entries")
+	m.gTeeEvents = m.reg.Gauge("stream_tee_events")
 	// 1 ms .. ~4.4 min in powers of 4: queueing and run times span from
 	// cache-warm microbenchmarks to paper-scale sweeps.
 	buckets := telemetry.ExponentialBuckets(0.001, 4, 10)
@@ -158,6 +160,7 @@ type gaugeSnapshot struct {
 	cacheEntries  int
 	cacheHits     uint64
 	cacheMisses   uint64
+	teeEvents     uint64 // events held in the server's stream tees
 }
 
 // render writes the Prometheus text exposition (0.0.4). It mirrors the
@@ -178,6 +181,7 @@ func (m *serviceMetrics) render(w http.ResponseWriter, g gaugeSnapshot, build st
 	m.gQueueCap.Set(float64(g.queueCapacity))
 	m.gRunning.Set(float64(g.running))
 	m.gCacheEntries.Set(float64(g.cacheEntries))
+	m.gTeeEvents.Set(float64(g.teeEvents))
 
 	buf := make([]byte, 0, 4096)
 	name := metricsPrefix + "build_info"

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -91,8 +92,12 @@ func fetchStream(t *testing.T, url string, header http.Header) ([]telemetry.Even
 // run records, replays in full from offset 0, and resumes from any offset
 // (?offset= or Last-Event-ID) with no gaps and no duplicates — DecodeSSE
 // verifies id contiguity as it reads.
+//
+// The live read ends only after the job finished, so every later read is
+// served by re-running the job: the server holds no tee for a finished
+// job, and the re-runs must be byte-equal to the live stream.
 func TestStreamEndpointReplayAndResume(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, StreamHeartbeat: 20 * time.Millisecond})
+	s, ts := newTestServer(t, Options{Workers: 1, StreamHeartbeat: 20 * time.Millisecond})
 	code, st := submit(t, ts, streamRunBody(77))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)
@@ -110,6 +115,8 @@ func TestStreamEndpointReplayAndResume(t *testing.T) {
 	if !bytes.Equal(jsonlBytes(full), jsonlBytes(want)) {
 		t.Fatalf("streamed %d events differ from the direct run's %d", len(full), len(want))
 	}
+	assertNoTee(t, s, st.ID)
+	replaysBefore := promValue(t, ts, "dftserve_stream_replays_total")
 
 	// Reconnect mid-stream: an offset replays exactly the suffix.
 	k := len(full) / 2
@@ -133,6 +140,160 @@ func TestStreamEndpointReplayAndResume(t *testing.T) {
 	replay, _ := fetchStream(t, ts.URL+"/v1/jobs/"+st.ID+"/stream?offset=0", nil)
 	if !bytes.Equal(jsonlBytes(replay), jsonlBytes(want)) {
 		t.Fatal("post-completion replay from offset 0 differs")
+	}
+	// A client already at the end gets only the terminator, with the
+	// job's count.
+	atEnd, done3 := fetchStream(t, fmt.Sprintf("%s/v1/jobs/%s/stream?offset=%d", ts.URL, st.ID, len(want)), nil)
+	if state, n := doneState(t, done3); len(atEnd) != 0 || state != stateDone || n != uint64(len(want)) {
+		t.Fatalf("read at the end: %d events, terminator %s; want 0 events, done with %d", len(atEnd), done3, len(want))
+	}
+	if got := promValue(t, ts, "dftserve_stream_replays_total") - replaysBefore; got != 4 {
+		t.Fatalf("stream_replays rose by %v over four post-completion reads, want 4", got)
+	}
+	assertNoTee(t, s, st.ID)
+	if v := promValue(t, ts, "dftserve_stream_tee_events"); v != 0 {
+		t.Fatalf("stream_tee_events = %v on an idle server, want 0", v)
+	}
+}
+
+// assertNoTee fails unless the server has dropped the job's tee.
+func assertNoTee(t *testing.T, s *Server, id string) {
+	t.Helper()
+	j := s.lookupJob(id)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.tee != nil || !j.recorded {
+		t.Fatalf("finished job %s: tee held %v, event count recorded %v", id, j.tee != nil, j.recorded)
+	}
+}
+
+// doneState decodes a done terminator's payload.
+func doneState(t *testing.T, done []byte) (state string, events uint64) {
+	t.Helper()
+	var d struct {
+		State  string `json:"state"`
+		Events uint64 `json:"events"`
+	}
+	if err := json.Unmarshal(done, &d); err != nil {
+		t.Fatalf("done terminator %q: %v", done, err)
+	}
+	return d.State, d.Events
+}
+
+// TestStreamReplayOfCancelledJob re-runs a streamed job a deadline cut
+// short: the replay stops at the job's recorded event count, matches the
+// direct run's prefix of that length and the live stream, and its done
+// terminator carries state cancelled.
+func TestStreamReplayOfCancelledJob(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	const cfgJSON = `{"scheme":"OPT","sensors":30,"sinks":2,"duration_s":50000,"arrival_mean_s":30,"seed":5}`
+	code, st := submit(t, ts, `{"kind":"run","stream":true,"deadline_ms":40,"config":`+cfgJSON+`}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", code)
+	}
+	url := ts.URL + "/v1/jobs/" + st.ID + "/stream"
+	live, liveDone := fetchStream(t, url, nil)
+	if final := awaitTerminal(t, ts, st.ID); final.State != stateCancelled {
+		t.Fatalf("state %q, want cancelled", final.State)
+	}
+	assertNoTee(t, s, st.ID)
+	replay, done := fetchStream(t, url, nil)
+	state, n := doneState(t, done)
+	if state != stateCancelled || n != uint64(len(replay)) || n == 0 {
+		t.Fatalf("replay terminator %s for %d events, want cancelled with the count", done, len(replay))
+	}
+	if liveState, liveN := doneState(t, liveDone); liveState != stateCancelled || liveN != n {
+		t.Fatalf("live terminator %s, replay's %s", liveDone, done)
+	}
+	if !bytes.Equal(jsonlBytes(replay), jsonlBytes(live)) {
+		t.Fatalf("replay of %d events differs from the live stream of %d", len(replay), len(live))
+	}
+
+	// The direct run's first n events, cut off by the same kind of probe.
+	cfg, err := scenario.LoadConfig(strings.NewReader(cfgJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := &telemetry.Buffer{}
+	cfg.Recorder = buf
+	cfg.Cancel = func() bool { return uint64(len(buf.Events)) >= n }
+	sm, err := scenario.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.Run()
+	if uint64(len(buf.Events)) < n {
+		t.Fatalf("direct run recorded %d events, replay %d", len(buf.Events), n)
+	}
+	if !bytes.Equal(jsonlBytes(replay), jsonlBytes(buf.Events[:n])) {
+		t.Fatal("replay differs from the direct run's prefix")
+	}
+}
+
+// TestStreamServedAfterJournalRestart: a streamed job that finished in one
+// process serves its whole stream from the next, which replays the journal
+// and re-runs the job.
+func TestStreamServedAfterJournalRestart(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "journal.jsonl")
+	s1, ts1 := newTestServer(t, Options{JournalPath: jp, Workers: 1})
+	code, st := submit(t, ts1, streamRunBody(78))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	awaitTerminal(t, ts1, st.ID)
+	s1.Shutdown(5 * time.Second)
+	ts1.Close()
+
+	_, ts2 := newTestServer(t, Options{JournalPath: jp, Workers: 1})
+	evs, done := fetchStream(t, ts2.URL+"/v1/jobs/"+st.ID+"/stream", nil)
+	want := referenceEvents(t, 78)
+	if state, n := doneState(t, done); state != stateDone || n != uint64(len(want)) {
+		t.Fatalf("terminator %s, want done with %d events", done, len(want))
+	}
+	if !bytes.Equal(jsonlBytes(evs), jsonlBytes(want)) {
+		t.Fatalf("post-restart stream of %d events differs from the direct run's %d", len(evs), len(want))
+	}
+	if v := promValue(t, ts2, "dftserve_stream_replays_total"); v != 1 {
+		t.Fatalf("stream_replays = %v, want 1", v)
+	}
+}
+
+// TestStreamedJobsLeaveHeapFlat is the bounded-state gate: once streamed
+// jobs finish, the server keeps their status and payload but not their
+// event logs, so the in-use heap after 100 jobs exceeds the heap after 20
+// by no more than a small per-job allowance. A retained log of these jobs'
+// few thousand events would cost each about 0.25 MB.
+func TestStreamedJobsLeaveHeapFlat(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 100})
+	serve := func(from, n int) {
+		ids := make([]string, 0, n)
+		for i := from; i < from+n; i++ {
+			body := fmt.Sprintf(`{"kind":"run","stream":true,"config":{"scheme":"OPT","sensors":10,"sinks":1,"duration_s":600,"arrival_mean_s":20,"seed":%d}}`, 1000+i)
+			code, st := submit(t, ts, body)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit = %d", code)
+			}
+			ids = append(ids, st.ID)
+		}
+		for _, id := range ids {
+			awaitTerminal(t, ts, id)
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	serve(0, 20)
+	h20 := heap()
+	serve(20, 80)
+	h100 := heap()
+	perJob := (float64(h100) - float64(h20)) / 80
+	t.Logf("heap after 20 jobs %.1f MB, after 100 %.1f MB: %.0f KB per job", float64(h20)/1e6, float64(h100)/1e6, perJob/1e3)
+	if perJob > 64e3 {
+		t.Fatalf("in-use heap grows %.0f KB per finished streamed job, want at most 64 KB", perJob/1e3)
 	}
 }
 

@@ -106,14 +106,16 @@ type job struct {
 	deadline time.Duration // wall-clock budget; armed when execution starts
 	enqueued time.Time     // when it entered the queue (feeds queue_wait_seconds)
 
-	// tee is the live event stream for jobs submitted with "stream":
+	mu    sync.Mutex
+	state string
+	// tee is the live event stream of a job submitted with "stream":
 	// true; readers page it by offset, so reconnects replay any suffix.
-	// Nil for unstreamed jobs. Set before the job is visible, never
-	// reassigned.
-	tee *telemetry.StreamTee
-
-	mu          sync.Mutex
-	state       string
+	// It lives while the job is queued or running and is dropped when
+	// execute returns; events then keeps its final length (recorded says
+	// it is known), and /stream serves the job by re-running its config.
+	tee         *telemetry.StreamTee
+	events      uint64
+	recorded    bool
 	attempts    int
 	errMsg      string
 	cacheHit    bool
@@ -181,8 +183,9 @@ type Server struct {
 	running  atomic.Int64
 	draining atomic.Bool
 
-	sm  *serviceMetrics
-	log *slog.Logger
+	sm   *serviceMetrics
+	log  *slog.Logger
+	tees teeSet
 
 	killCh   chan struct{} // closed when the drain grace expires
 	stopCh   chan struct{} // closed to stop the workers
@@ -225,6 +228,9 @@ func New(opts Options) (*Server, error) {
 			key: r.Key, state: r.State, errMsg: r.Error, cacheHit: r.Cached,
 			payload: r.Payload,
 		}
+		if r.Events != nil {
+			j.events, j.recorded = *r.Events, true
+		}
 		if terminalState(r.State) {
 			if r.State == stateDone && !r.Cached {
 				s.cache.Put(r.Key, r.Payload)
@@ -249,7 +255,7 @@ func New(opts Options) (*Server, error) {
 			j.state = stateQueued
 			j.deadline = deadlineOf(req, opts.DefaultDeadline, opts.MaxDeadline)
 			if req.Stream && req.Kind == "run" {
-				j.tee = telemetry.NewStreamTee()
+				j.tee = s.tees.open()
 			}
 			resumable = append(resumable, j)
 		}
@@ -354,11 +360,7 @@ func (s *Server) execute(j *job) {
 	j.started.Store(time.Now().UnixNano())
 	defer func() {
 		s.sm.observeRun(time.Since(time.Unix(0, j.started.Load())))
-		if j.tee != nil {
-			// Closed after the terminal transition, so /stream's done
-			// terminator always reads the settled state.
-			j.tee.Close()
-		}
+		s.dropTee(j)
 	}()
 	for attempt := 1; ; attempt++ {
 		s.transition(j, stateRunning, func(e *journalEntry) { e.Attempt = attempt })
@@ -430,16 +432,15 @@ func (s *Server) runJob(j *job) error {
 		// draw from per simulation too.
 		s.budget.Acquire()
 		defer s.budget.Release()
-		if j.tee != nil {
+		j.mu.Lock()
+		tee := j.tee
+		j.mu.Unlock()
+		if tee != nil {
 			// A retried attempt re-records the same deterministic event
 			// sequence; Reset lets readers holding an offset resume
 			// seamlessly once the replay passes them again.
-			j.tee.Reset()
-			if cfg.Recorder != nil {
-				cfg.Recorder = telemetry.Multi{cfg.Recorder, j.tee}
-			} else {
-				cfg.Recorder = j.tee
-			}
+			tee.Reset()
+			cfg.Recorder = tee
 		}
 		sm, err := scenario.New(cfg)
 		if err != nil {
@@ -553,6 +554,16 @@ func (s *Server) transition(j *job, state string, decorate func(*journalEntry)) 
 	if decorate != nil {
 		decorate(&e)
 	}
+	if terminalState(state) {
+		// A streamed job's event count outlives its tee: /stream re-runs
+		// the job up to it, also after a restart.
+		j.mu.Lock()
+		if j.tee != nil {
+			n := j.tee.Len()
+			e.Events = &n
+		}
+		j.mu.Unlock()
+	}
 	if err := s.persist(e); err != nil {
 		s.setError(j, err)
 		return
@@ -655,9 +666,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := s.newJob(req, cfg, key)
-	if req.Stream {
-		j.tee = telemetry.NewStreamTee()
-	}
 	j.enqueued = time.Now()
 	// Write-ahead: the submission reaches stable storage before the job
 	// is acknowledged or can start, so a crash never leaves a running job
@@ -669,6 +677,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.depth.Add(-1)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
+	}
+	if req.Stream {
+		j.tee = s.tees.open()
 	}
 	s.registerJob(j)
 	s.log.Info("job accepted", "job", j.id, "kind", j.kind, "tenant", j.tenant, "key", key, "stream", req.Stream)
@@ -719,6 +730,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		cacheEntries:  entries,
 		cacheHits:     hits,
 		cacheMisses:   misses,
+		teeEvents:     s.tees.events(),
 	}, buildVersion)
 }
 

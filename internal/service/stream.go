@@ -1,11 +1,14 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"dftmsn/internal/scenario"
+	"dftmsn/internal/sweep"
 	"dftmsn/internal/telemetry"
 )
 
@@ -51,17 +54,20 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 // handleStream serves GET /v1/jobs/{id}/stream: the job's trace as
 // Server-Sent Events, every message id carrying the event's stream offset.
 // The stream replays from any offset (?offset= or the standard
-// Last-Event-ID header on reconnect) with no gaps and no duplicates — the
-// tee keeps the whole log, and a retried attempt re-records the identical
-// deterministic prefix. Idle periods carry comment heartbeats; the stream
-// ends with an "event: done" terminator naming the job's terminal state.
+// Last-Event-ID header on reconnect) with no gaps and no duplicates. While
+// the job is queued or running it is read from the job's tee, and a
+// retried attempt re-records the identical deterministic prefix. Once the
+// job has finished its tee is gone, and the request re-runs the job's
+// config into a tee of its own (rerun). Idle periods carry comment
+// heartbeats; the stream ends with an "event: done" terminator naming the
+// job's terminal state and event count.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.lookupJob(r.PathValue("id"))
 	if j == nil {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
-	if j.tee == nil {
+	if !j.req.Stream {
 		http.Error(w, `job has no live stream (submit with "stream": true)`, http.StatusNotFound)
 		return
 	}
@@ -75,8 +81,42 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	j.mu.Lock()
+	tee, n, recorded := j.tee, j.events, j.recorded
+	j.mu.Unlock()
+	replay := tee == nil
+	if replay {
+		if !recorded {
+			// A journal from before event counts were journaled.
+			http.Error(w, "job's stream length was not recorded", http.StatusNotFound)
+			return
+		}
+		cfg, err := scenario.DecodeConfig(j.req.Config)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		// Re-run only as far as the request can need: a client already
+		// at the end gets just the terminator.
+		need := n
+		if offset >= n {
+			need = 0
+		}
+		tee = s.tees.open()
+		ctx, cancel := context.WithCancel(r.Context())
+		finished := make(chan struct{})
+		go func() {
+			defer close(finished)
+			s.rerun(ctx, j, cfg, tee, need)
+		}()
+		defer func() {
+			cancel()
+			<-finished
+		}()
+		s.sm.count("stream_replays")
+	}
 	s.sm.count("stream_requests")
-	s.log.Info("stream attached", "job", j.id, "offset", offset)
+	s.log.Info("stream attached", "job", j.id, "offset", offset, "replay", replay)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -86,7 +126,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	buf := make([]byte, 0, 8192)
 	for {
-		evs, next, done := j.tee.ReadAt(offset, streamChunk)
+		evs, next, done := tee.ReadAt(offset, streamChunk)
 		if len(evs) > 0 {
 			buf = buf[:0]
 			for i, ev := range evs {
@@ -100,12 +140,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if done {
-			buf = telemetry.AppendSSEDone(buf[:0], j.stateNow(), j.tee.Len())
+			if !replay {
+				n = tee.Len()
+			}
+			buf = telemetry.AppendSSEDone(buf[:0], j.stateNow(), n)
 			w.Write(buf)
 			flusher.Flush()
 			return
 		}
-		if !j.tee.WaitAt(offset, r.Context().Done(), s.opts.StreamHeartbeat) {
+		if !tee.WaitAt(offset, r.Context().Done(), s.opts.StreamHeartbeat) {
 			select {
 			case <-r.Context().Done():
 				s.log.Info("stream client gone", "job", j.id, "offset", offset)
@@ -118,6 +161,108 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
+}
+
+// rerun re-simulates a finished streamed job into tee for one /stream
+// request. A run is a pure function of its config, so the first n events
+// the re-run records are the job's stream event for event, whether the
+// job ran to its horizon or was cut short by a deadline; the re-run stops
+// there, or when ctx ends, and closes tee. Like the job, it holds one slot
+// of the core budget while it simulates.
+func (s *Server) rerun(ctx context.Context, j *job, cfg scenario.Config, tee *telemetry.StreamTee, n uint64) {
+	defer s.tees.close(tee)
+	if n == 0 {
+		return
+	}
+	s.budget.Acquire()
+	defer s.budget.Release()
+	rec := &cappedRecorder{tee: tee, left: n}
+	cfg.Recorder = rec
+	cfg.Cancel = func() bool { return rec.left == 0 || ctx.Err() != nil }
+	err := sweep.Guard(func() error {
+		sm, err := scenario.New(cfg)
+		if err != nil {
+			return err
+		}
+		_, err = sm.Run()
+		return err
+	})
+	if rec.left != 0 && ctx.Err() == nil {
+		s.log.Error("stream re-run ended short", "job", j.id, "events", n-rec.left, "want", n, "error", fmt.Sprint(err))
+	}
+}
+
+// cappedRecorder forwards the first left events of a re-run to its tee and
+// drops the rest; the re-run's cancel probe stops the run once left is 0.
+// Record and the probe both run on the simulation goroutine.
+type cappedRecorder struct {
+	tee  *telemetry.StreamTee
+	left uint64
+}
+
+func (c *cappedRecorder) Record(ev telemetry.Event) {
+	if c.left > 0 {
+		c.tee.Record(ev)
+		c.left--
+	}
+}
+
+// dropTee ends a streamed job's tee once execute is done with it: the job
+// keeps only the event count, and a later /stream request re-runs the job
+// instead. The tee is dropped before it is closed, so a reader that Close
+// wakes already finds the job without one; readers still holding it read
+// to its end. Close follows the terminal transition, so the done
+// terminator always reads the settled state.
+func (s *Server) dropTee(j *job) {
+	j.mu.Lock()
+	tee := j.tee
+	if tee != nil {
+		j.tee = nil
+		j.events, j.recorded = tee.Len(), true
+	}
+	j.mu.Unlock()
+	if tee != nil {
+		s.tees.close(tee)
+	}
+}
+
+// teeSet tracks the stream tees the server holds — queued and running
+// streamed jobs' and in-progress re-runs' — for the stream_tee_events
+// gauge, which reads 0 on an idle server.
+type teeSet struct {
+	mu   sync.Mutex
+	held map[*telemetry.StreamTee]struct{}
+}
+
+// open returns a new tee counted by the set until close.
+func (ts *teeSet) open() *telemetry.StreamTee {
+	t := telemetry.NewStreamTee()
+	ts.mu.Lock()
+	if ts.held == nil {
+		ts.held = make(map[*telemetry.StreamTee]struct{})
+	}
+	ts.held[t] = struct{}{}
+	ts.mu.Unlock()
+	return t
+}
+
+// close closes t and stops counting it.
+func (ts *teeSet) close(t *telemetry.StreamTee) {
+	ts.mu.Lock()
+	delete(ts.held, t)
+	ts.mu.Unlock()
+	t.Close()
+}
+
+// events sums the events held in the set's tees.
+func (ts *teeSet) events() uint64 {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	var n uint64
+	for t := range ts.held {
+		n += t.Len()
+	}
+	return n
 }
 
 // streamOffset resolves the client's resume point: an explicit ?offset=

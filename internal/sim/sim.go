@@ -533,14 +533,16 @@ func (s *Scheduler) Step() bool {
 // dispatch runs one event callback (and the post-event hook) with panic
 // context attached: a panic escaping either is re-raised as an *EventPanic
 // identifying the event by virtual time, sequence number, and label.
-// Already-wrapped panics pass through untouched.
+// Already-wrapped panics pass through untouched. The identity is read
+// before the callback runs: a callback may Reschedule its own fired handle.
 func (s *Scheduler) dispatch(e *Event) {
+	at, seq, label := e.at, e.seq, e.labels
 	defer func() {
 		if r := recover(); r != nil {
 			if _, wrapped := r.(*EventPanic); wrapped {
 				panic(r)
 			}
-			panic(&EventPanic{Time: e.at, Seq: e.seq, Label: e.labels, Value: r})
+			panic(&EventPanic{Time: at, Seq: seq, Label: label, Value: r})
 		}
 	}()
 	if e.fnArg != nil {
@@ -554,7 +556,7 @@ func (s *Scheduler) dispatch(e *Event) {
 		fn()
 	}
 	if s.onEvent != nil {
-		s.onEvent(s.now, e.seq, e.labels)
+		s.onEvent(s.now, seq, label)
 	}
 }
 

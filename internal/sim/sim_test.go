@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math/rand/v2"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -345,6 +346,39 @@ func TestRescheduleAtReusesEvent(t *testing.T) {
 	}
 	if _, err := s.RescheduleAt(ev, s.Now()-1, "x", fn); err == nil {
 		t.Fatal("RescheduleAt accepted a past time")
+	}
+}
+
+// TestRescheduleOwnHandleFromCallback pins the self-re-arm pattern a
+// periodic timer uses: a callback that Reschedules its own just-fired
+// handle is reported to the event hook under the identity it fired with,
+// and the handle fires again at the new time.
+func TestRescheduleOwnHandleFromCallback(t *testing.T) {
+	s := NewScheduler()
+	type seen struct {
+		at    Time
+		seq   uint64
+		label string
+	}
+	var hooked []seen
+	s.SetEventHook(func(now Time, seq uint64, label string) {
+		hooked = append(hooked, seen{now, seq, label})
+	})
+	var ev *Event
+	n := 0
+	var fn func()
+	fn = func() {
+		if n++; n < 3 {
+			s.Reschedule(ev, 1, "tick", fn)
+		}
+	}
+	ev = s.AfterLabeled(1, "first", fn)
+	if err := s.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	want := []seen{{1, 0, "first"}, {2, 1, "tick"}, {3, 2, "tick"}}
+	if !reflect.DeepEqual(hooked, want) {
+		t.Fatalf("hook saw %v, want %v", hooked, want)
 	}
 }
 

@@ -10,6 +10,7 @@
 package simrand
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand/v2"
@@ -50,8 +51,31 @@ type State []byte
 // consumers (the idle-span planner) snapshot before drawing ahead, and on
 // early abort Restore + re-draw the prefix actually consumed, keeping the
 // stream bit-identical to one that never drew ahead.
-func (s *Source) State() State {
-	b, err := s.pcg.MarshalBinary()
+func (s *Source) State() State { return s.Mark().State() }
+
+// Restore rewinds the stream to a snapshot taken by State.
+func (s *Source) Restore(st State) {
+	if err := s.pcg.UnmarshalBinary(st); err != nil {
+		panic(err)
+	}
+}
+
+// Mark is a stream position held by value: taking one and rewinding to it
+// copy the generator's state and allocate nothing, where State allocates
+// its encoding. Speculative consumers that snapshot on every attempt (the
+// idle-span planner) keep a Mark and convert it to a State only when a
+// snapshot is exported.
+type Mark struct{ pcg rand.PCG }
+
+// Mark returns the current stream position.
+func (s *Source) Mark() Mark { return Mark{pcg: *s.pcg} }
+
+// Rewind returns the stream to a position taken by Mark.
+func (s *Source) Rewind(m Mark) { *s.pcg = m.pcg }
+
+// State returns the mark's position in the encoding Source.State uses.
+func (m Mark) State() State {
+	b, err := m.pcg.MarshalBinary()
 	if err != nil {
 		// PCG's MarshalBinary cannot fail; keep the invariant visible.
 		panic(err)
@@ -59,11 +83,13 @@ func (s *Source) State() State {
 	return b
 }
 
-// Restore rewinds the stream to a snapshot taken by State.
-func (s *Source) Restore(st State) {
-	if err := s.pcg.UnmarshalBinary(st); err != nil {
-		panic(err)
+// MarkOf decodes a State into a Mark.
+func MarkOf(st State) (Mark, error) {
+	var m Mark
+	if err := m.pcg.UnmarshalBinary(st); err != nil {
+		return Mark{}, fmt.Errorf("simrand: %w", err)
 	}
+	return m, nil
 }
 
 // Float64 returns a uniform draw in [0, 1).

@@ -15,6 +15,34 @@ func TestNewIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestMarkMatchesState pins the by-value position: rewinding to a Mark
+// replays the same draws as restoring its State, its State is the bytes
+// Source.State gives at that point and decodes back through MarkOf, and
+// taking and rewinding a Mark allocate nothing.
+func TestMarkMatchesState(t *testing.T) {
+	s := New(11)
+	s.Uint64()
+	m, st := s.Mark(), s.State()
+	if string(m.State()) != string(st) {
+		t.Fatal("Mark.State bytes differ from State")
+	}
+	want := s.Uint64()
+	s.Rewind(m)
+	if got := s.Uint64(); got != want {
+		t.Fatalf("draw after Rewind %d, want %d", got, want)
+	}
+	back, err := MarkOf(st)
+	if err != nil || back != m {
+		t.Fatalf("MarkOf(State) = %v, %v; want the mark", back, err)
+	}
+	if _, err := MarkOf(State("junk")); err == nil {
+		t.Fatal("MarkOf accepted a malformed state")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Rewind(s.Mark()) }); allocs != 0 {
+		t.Fatalf("Mark+Rewind allocate %v times", allocs)
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

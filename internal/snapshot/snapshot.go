@@ -41,7 +41,7 @@ import (
 // Version — old snapshots are rejected, never misread.
 const (
 	magic   = "DFTMSNSNAP"
-	Version = 2
+	Version = 3
 )
 
 // TrafficState is one sensor's Poisson arrival process: its RNG stream and

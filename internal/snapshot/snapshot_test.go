@@ -132,6 +132,12 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	if _, err := DecodeBytes(bad); err == nil {
 		t.Fatal("version 1 snapshot decoded without error")
 	}
+	// Version 2 files carry one-shot kills as bare references.
+	bad = append([]byte(nil), blob...)
+	bad[len(magic)], bad[len(magic)+1] = 0, 2
+	if _, err := DecodeBytes(bad); err == nil {
+		t.Fatal("version 2 snapshot decoded without error")
+	}
 	// Flipped payload bytes: decode must return an error or a snapshot,
 	// never panic.
 	for i := len(magic) + 2; i < len(blob); i += 7 {

@@ -5,11 +5,21 @@ import (
 	"time"
 )
 
+// teeBlock is the StreamTee block size in events (256 KiB of Event on
+// amd64): large enough that the block table stays short for a paper-length
+// run, small enough that a short run's last partial block wastes little.
+const teeBlock = 4096
+
 // StreamTee is a Recorder that makes a running simulation's event stream
 // tailable without perturbing the run. It keeps an in-memory log that
 // readers page through by offset (ReadAt/WaitAt — the service's /stream
 // endpoint replays any suffix from any offset, so reconnects see no gaps
 // and no duplicates).
+//
+// The log is a list of fixed-size blocks. A block, once allocated, is only
+// ever appended to up to its capacity and never moved or overwritten, so
+// ReadAt hands out views of it instead of copies, and growing the log
+// never copies what is already recorded.
 //
 // Record never blocks on a reader and never returns an error: the
 // simulation goroutine only takes a short mutex, so the virtual-time
@@ -17,7 +27,8 @@ import (
 // bit-identical to an unobserved run.
 type StreamTee struct {
 	mu     sync.Mutex
-	events []Event
+	blocks [][]Event // each of capacity teeBlock; all full but the last
+	n      uint64
 	closed bool
 	waitCh chan struct{}
 }
@@ -34,7 +45,12 @@ func (t *StreamTee) Record(ev Event) {
 	if t.closed {
 		return
 	}
-	t.events = append(t.events, ev)
+	if t.n%teeBlock == 0 {
+		t.blocks = append(t.blocks, make([]Event, 0, teeBlock))
+	}
+	last := len(t.blocks) - 1
+	t.blocks[last] = append(t.blocks[last], ev)
+	t.n++
 	if t.waitCh != nil {
 		close(t.waitCh)
 		t.waitCh = nil
@@ -60,11 +76,13 @@ func (t *StreamTee) Close() {
 // when a failed job attempt is retried: the simulation is deterministic, so
 // the retry re-records the identical event sequence and a reader holding
 // offset N simply waits until the replay passes N again, then continues
-// seamlessly.
+// seamlessly. The re-recording goes into new blocks: a view a reader still
+// holds keeps the events it was handed.
 func (t *StreamTee) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.events = t.events[:0]
+	t.blocks = nil
+	t.n = 0
 	t.closed = false
 }
 
@@ -72,27 +90,40 @@ func (t *StreamTee) Reset() {
 func (t *StreamTee) Len() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return uint64(len(t.events))
+	return t.n
 }
 
-// ReadAt copies up to limit events starting at offset (limit <= 0 means
-// all available). next is the offset one past the last returned event —
-// pass it back to resume with no gaps and no duplicates. done reports that
-// the stream is closed and offset is at or past the end.
+// ReadAt returns up to limit events starting at offset. With limit > 0 the
+// result is a read-only view into one block of the log — it stops at the
+// block's end, so a read may return fewer than limit events even when more
+// are recorded; the caller must not modify it. limit <= 0 returns every
+// recorded event from offset on (copied when it spans blocks). next is
+// the offset one past the last returned event — pass it back to resume
+// with no gaps and no duplicates. done reports that the stream is closed
+// and offset is at or past the end.
 func (t *StreamTee) ReadAt(offset uint64, limit int) (evs []Event, next uint64, done bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := uint64(len(t.events))
-	if offset >= n {
+	if offset >= t.n {
 		return nil, offset, t.closed
 	}
-	end := n
-	if limit > 0 && offset+uint64(limit) < end {
-		end = offset + uint64(limit)
+	b := offset / teeBlock
+	if limit <= 0 && b < uint64(len(t.blocks))-1 {
+		evs = make([]Event, 0, t.n-offset)
+		evs = append(evs, t.blocks[b][offset%teeBlock:]...)
+		for _, blk := range t.blocks[b+1:] {
+			evs = append(evs, blk...)
+		}
+		return evs, t.n, t.closed
 	}
-	evs = make([]Event, end-offset)
-	copy(evs, t.events[offset:end])
-	return evs, end, t.closed && end == n
+	blk := t.blocks[b]
+	i := offset % teeBlock
+	end := uint64(len(blk))
+	if limit > 0 && i+uint64(limit) < end {
+		end = i + uint64(limit)
+	}
+	next = offset + (end - i)
+	return blk[i:end:end], next, t.closed && next == t.n
 }
 
 // WaitAt blocks until the log holds events at or past offset, the stream
@@ -101,7 +132,7 @@ func (t *StreamTee) ReadAt(offset uint64, limit int) (evs []Event, next uint64, 
 // or stop fired first — the /stream handler uses that to emit a heartbeat.
 func (t *StreamTee) WaitAt(offset uint64, stop <-chan struct{}, timeout time.Duration) bool {
 	t.mu.Lock()
-	if uint64(len(t.events)) > offset || t.closed {
+	if t.n > offset || t.closed {
 		t.mu.Unlock()
 		return true
 	}

@@ -116,3 +116,60 @@ func TestStreamTeeReset(t *testing.T) {
 		t.Fatal("post-Reset stream differs from the re-recorded sequence")
 	}
 }
+
+// TestStreamTeeBlockBoundary pins reads across the log's block boundary:
+// a bounded read stops at the block's end and the next read continues in
+// the next block with no gap, and a limit <= 0 read returns the whole log
+// across blocks.
+func TestStreamTeeBlockBoundary(t *testing.T) {
+	tee := NewStreamTee()
+	evs := streamEvents(2*teeBlock + 10)
+	for _, ev := range evs {
+		tee.Record(ev)
+	}
+	tee.Close()
+
+	page, next, done := tee.ReadAt(teeBlock-3, 100)
+	if len(page) != 3 || next != teeBlock || done {
+		t.Fatalf("read at block end: %d events, next %d, done %v; want 3, %d, false", len(page), next, done, teeBlock)
+	}
+	if !reflect.DeepEqual(page, evs[teeBlock-3:teeBlock]) {
+		t.Fatal("read at block end returned the wrong events")
+	}
+	page, next, _ = tee.ReadAt(next, 5)
+	if next != teeBlock+5 || !reflect.DeepEqual(page, evs[teeBlock:teeBlock+5]) {
+		t.Fatalf("read after the boundary: next %d, want %d", next, teeBlock+5)
+	}
+
+	all, next, done := tee.ReadAt(0, 0)
+	if !done || next != uint64(len(evs)) || !reflect.DeepEqual(all, evs) {
+		t.Fatalf("limit 0 read: %d events, next %d, done %v", len(all), next, done)
+	}
+	tail, _, done := tee.ReadAt(teeBlock+7, -1)
+	if !done || !reflect.DeepEqual(tail, evs[teeBlock+7:]) {
+		t.Fatal("limit < 0 read from mid-log differs")
+	}
+}
+
+// TestStreamTeeResetKeepsHeldViews checks that Reset never overwrites what
+// a reader was handed: a view taken before the reset still holds the old
+// events while the retry re-records different ones.
+func TestStreamTeeResetKeepsHeldViews(t *testing.T) {
+	tee := NewStreamTee()
+	evs := streamEvents(20)
+	for _, ev := range evs {
+		tee.Record(ev)
+	}
+	view, _, _ := tee.ReadAt(0, 10)
+	held := append([]Event(nil), view...)
+	tee.Reset()
+	for i := range evs {
+		tee.Record(Event{Type: EvDrop, Node: 9, Msg: evs[i].Msg})
+	}
+	if !reflect.DeepEqual(view, held) {
+		t.Fatal("Reset let a re-recorded event overwrite a held view")
+	}
+	if page, _, _ := tee.ReadAt(0, 1); page[0].Type != EvDrop {
+		t.Fatal("after Reset the log does not serve the re-recorded events")
+	}
+}
