@@ -107,7 +107,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLazyDecayParity -fuzztime=10s ./internal/routing/
 
 # The snapshot/fork/restore differential gate under the race detector: all
-# three arms bit-identical on Result and telemetry across the 10-config
+# three arms bit-identical on Result and telemetry across the 12-config
 # matrix, plus the RNG rewind edge cases.
 snapshot-diff:
 	$(GO) test -race -run 'TestSnapshotDifferential|TestPeriodicCheckpointsDontPerturb|TestRestoreForPlanMatchesScratch|TestCheckpoint' ./internal/scenario/
@@ -115,7 +115,7 @@ snapshot-diff:
 # The observability differential gate under the race detector: an observed
 # run (progress probe firing at every kernel stride, StreamTee in the
 # recorder chain, readers starting and stopping ReadAt/WaitAt paging
-# mid-run) must be bit-identical to an unobserved one across the 10-config
+# mid-run) must be bit-identical to an unobserved one across the 12-config
 # matrix, and the /stream endpoint must replay/resume with no gaps and no
 # duplicates.
 observe-diff:

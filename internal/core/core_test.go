@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"dftmsn/internal/energy"
 	"dftmsn/internal/geo"
 	"dftmsn/internal/mac"
+	"dftmsn/internal/optimize"
 	"dftmsn/internal/packet"
 	"dftmsn/internal/radio"
 	"dftmsn/internal/routing"
@@ -672,6 +675,65 @@ func TestTauMaxCacheInvalidation(t *testing.T) {
 	// Unchanged table: the cached value is reused (same answer).
 	if tau3 := n.currentTauMax(); tau3 != tau2 {
 		t.Fatalf("cache returned %d, want %d", tau3, tau2)
+	}
+}
+
+// TestWindowMemoMatchesSearch checks the per-node Eq. 14 memo against a
+// fresh optimize.MinWindow for every replier count up to WindowCap (and a
+// few past it), asked in scrambled order so the memo grows out of order,
+// then asked again so every answer comes from the memo.
+func TestWindowMemoMatchesSearch(t *testing.T) {
+	for _, target := range []float64{0.01, 0.1, 0.5, 0.99} {
+		p := DefaultParams(SchemeOPT)
+		p.CollisionTarget = target
+		n := newMiniNet(t, p).sensor
+		cap_ := p.WindowCap
+		order := rand.New(rand.NewPCG(uint64(target*1000), 1)).Perm(cap_ + 4)
+		for pass := 0; pass < 2; pass++ {
+			for _, k := range order {
+				want, _ := optimize.MinWindow(k, target, cap_)
+				if got := n.windowFor(k); got != want {
+					t.Fatalf("target %v pass %d: window for %d repliers = %d, MinWindow %d", target, pass, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNeighborTableSnapshotOrder checks the neighbour table's snapshot
+// form: entries arrive in gossip order and update in place, the snapshot
+// lists them by ID, a restore reproduces them, and a restore refuses a list
+// out of ID order (which would otherwise hold one ID twice).
+func TestNeighborTableSnapshotOrder(t *testing.T) {
+	n := newMiniNet(t, DefaultParams(SchemeOPT)).sensor
+	for _, id := range []packet.NodeID{12, 10, 11} {
+		n.OnNeighborInfo(id, 0.5, 0)
+	}
+	n.OnNeighborInfo(10, 0.6, 0.2)
+	st, err := n.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []NeighborState{{ID: 10, Xi: 0.6, History: 0.2}, {ID: 11, Xi: 0.5}, {ID: 12, Xi: 0.5}}
+	if !reflect.DeepEqual(st.Neighbors, want) || st.NbVersion != 4 {
+		t.Fatalf("snapshot table %+v version %d, want %+v version 4", st.Neighbors, st.NbVersion, want)
+	}
+
+	fresh := newMiniNet(t, DefaultParams(SchemeOPT)).sensor
+	if err := fresh.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	back, err := fresh.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Neighbors, want) {
+		t.Fatalf("restored table %+v, want %+v", back.Neighbors, want)
+	}
+
+	st.Neighbors = []NeighborState{{ID: 11, Xi: 0.5}, {ID: 11, Xi: 0.7}}
+	if err := newMiniNet(t, DefaultParams(SchemeOPT)).sensor.RestoreState(st); err == nil {
+		t.Fatal("restore accepted a neighbour table listing one ID twice")
 	}
 }
 

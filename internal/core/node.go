@@ -115,6 +115,7 @@ func (p Params) Validate() error {
 
 // neighborInfo is one neighbour-table entry built from overheard RTS/CTS.
 type neighborInfo struct {
+	id      packet.NodeID
 	xi      float64
 	history float64
 	seenAt  float64
@@ -148,10 +149,11 @@ type Node struct {
 	rec      telemetry.Recorder
 
 	sleepCtl  *optimize.SleepController
-	neighbors map[packet.NodeID]neighborInfo
-	nbVersion uint64 // bumped on table change
+	neighbors []neighborInfo // one entry per ID; pruned in place on expiry
+	nbVersion uint64         // bumped on table change
 	tauCached int
 	tauForVer uint64
+	windows   []int // MinWindow memo by replier count; 0 = not solved yet
 
 	decay   *sim.Ticker     // eager decay arm (nil under lazy decay)
 	lazy    routing.Decayer // lazy decay arm (nil under eager decay)
@@ -253,7 +255,6 @@ func NewNode(
 		macCfg:    macCfg,
 		rng:       rng,
 		rec:       rec,
-		neighbors: make(map[packet.NodeID]neighborInfo),
 		tauForVer: ^uint64(0),
 	}
 	n.stats.DiedAt = -1
@@ -769,19 +770,14 @@ func (n *Node) currentTauMax() int {
 	if n.tauForVer == n.nbVersion {
 		return n.tauCached
 	}
-	now := n.sched.Now()
 	xis := append(n.xiBuf[:0], n.strategy.Xi())
-	for id, nb := range n.neighbors {
-		if now-nb.seenAt > n.params.NeighborTTL {
-			delete(n.neighbors, id)
-			continue
-		}
+	for _, nb := range n.liveNeighbors() {
 		xis = append(xis, nb.xi)
 	}
 	// The collision probability multiplies and sums in slice order, so the
 	// last-ulp rounding — and occasionally the τ_max threshold crossing —
-	// would otherwise depend on the map iteration order above, which Go
-	// randomises per run. Canonical order keeps same-seed runs identical.
+	// depends on the order of ξ. A canonical order makes the answer a
+	// function of the ξ set alone, whatever order the table holds it in.
 	sort.Float64s(xis)
 	n.xiBuf = xis
 	tau, _ := optimize.MinTauMax(xis, n.params.CollisionTarget, n.params.TauMaxCap)
@@ -796,14 +792,9 @@ func (n *Node) currentWindow() int {
 	if !n.params.AdaptiveWindow {
 		return n.params.WindowFixed
 	}
-	now := n.sched.Now()
 	mine := n.strategy.Xi()
 	repliers := 0
-	for id, nb := range n.neighbors {
-		if now-nb.seenAt > n.params.NeighborTTL {
-			delete(n.neighbors, id)
-			continue
-		}
+	for _, nb := range n.liveNeighbors() {
 		if nb.xi > mine || nb.history > mine {
 			repliers++
 		}
@@ -811,8 +802,40 @@ func (n *Node) currentWindow() int {
 	if repliers < 1 {
 		repliers = 1
 	}
-	w, _ := optimize.MinWindow(repliers, n.params.CollisionTarget, n.params.WindowCap)
-	return w
+	return n.windowFor(repliers)
+}
+
+// windowFor returns optimize.MinWindow(repliers, CollisionTarget,
+// WindowCap). Target and cap are fixed per node, so each replier count is
+// solved once; counts above the cap leave MinWindow an empty search and are
+// not memoized.
+func (n *Node) windowFor(repliers int) int {
+	if repliers > n.params.WindowCap {
+		w, _ := optimize.MinWindow(repliers, n.params.CollisionTarget, n.params.WindowCap)
+		return w
+	}
+	if repliers >= len(n.windows) {
+		n.windows = append(n.windows, make([]int, repliers+1-len(n.windows))...)
+	}
+	if n.windows[repliers] == 0 {
+		n.windows[repliers], _ = optimize.MinWindow(repliers, n.params.CollisionTarget, n.params.WindowCap)
+	}
+	return n.windows[repliers]
+}
+
+// liveNeighbors drops the entries older than NeighborTTL from the
+// neighbour table, in place, and returns the rest.
+func (n *Node) liveNeighbors() []neighborInfo {
+	now := n.sched.Now()
+	kept := n.neighbors[:0]
+	for _, nb := range n.neighbors {
+		if now-nb.seenAt > n.params.NeighborTTL {
+			continue
+		}
+		kept = append(kept, nb)
+	}
+	n.neighbors = kept
+	return kept
 }
 
 // --- mac.Policy implementation (delegating routing to the strategy) ---
@@ -868,9 +891,16 @@ func (n *Node) OnTxOutcome(entries []packet.ScheduleEntry, acked []packet.NodeID
 // OnNeighborInfo implements mac.Policy: overheard RTS/CTS gossip feeds the
 // neighbour table behind the §4 optimizers.
 func (n *Node) OnNeighborInfo(id packet.NodeID, xi, history float64) {
-	prev, had := n.neighbors[id]
-	n.neighbors[id] = neighborInfo{xi: xi, history: history, seenAt: n.sched.Now()}
-	if !had || prev.xi != xi {
-		n.nbVersion++
+	entry := neighborInfo{id: id, xi: xi, history: history, seenAt: n.sched.Now()}
+	for i := range n.neighbors {
+		if n.neighbors[i].id == id {
+			if n.neighbors[i].xi != xi {
+				n.nbVersion++
+			}
+			n.neighbors[i] = entry
+			return
+		}
 	}
+	n.neighbors = append(n.neighbors, entry)
+	n.nbVersion++
 }

@@ -119,8 +119,8 @@ func (n *Node) ExportState() (NodeState, error) {
 	}
 	if len(n.neighbors) > 0 {
 		st.Neighbors = make([]NeighborState, 0, len(n.neighbors))
-		for id, nb := range n.neighbors {
-			st.Neighbors = append(st.Neighbors, NeighborState{ID: id, Xi: nb.xi, History: nb.history, SeenAt: nb.seenAt})
+		for _, nb := range n.neighbors {
+			st.Neighbors = append(st.Neighbors, NeighborState{ID: nb.id, Xi: nb.xi, History: nb.history, SeenAt: nb.seenAt})
 		}
 		sort.Slice(st.Neighbors, func(i, j int) bool { return st.Neighbors[i].ID < st.Neighbors[j].ID })
 	}
@@ -180,9 +180,12 @@ func (n *Node) RestoreState(st NodeState) error {
 			return fmt.Errorf("core: node %d: %w", n.id, err)
 		}
 	}
-	clear(n.neighbors)
-	for _, nb := range st.Neighbors {
-		n.neighbors[nb.ID] = neighborInfo{xi: nb.Xi, history: nb.History, seenAt: nb.SeenAt}
+	n.neighbors = n.neighbors[:0]
+	for i, nb := range st.Neighbors {
+		if i > 0 && nb.ID <= st.Neighbors[i-1].ID {
+			return fmt.Errorf("core: node %d snapshot neighbour table is not in strictly ascending ID order", n.id)
+		}
+		n.neighbors = append(n.neighbors, neighborInfo{id: nb.ID, xi: nb.Xi, history: nb.History, seenAt: nb.SeenAt})
 	}
 	n.nbVersion = st.NbVersion
 	n.tauCached = st.TauCached

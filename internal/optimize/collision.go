@@ -40,24 +40,23 @@ func GrabProbabilities(sigmas []int) []float64 {
 	return probs
 }
 
-// grabProbability computes one node's P_i of Eq. 10/11.
+// grabProbability computes one node's P_i of Eq. 10/11. The τ sum stops
+// below the smallest σ_j (j ≠ i): from there on some θ_ij is 0, so every
+// later term is exactly 0 and adding it would leave P_i unchanged.
 func grabProbability(sigmas []int, i int) float64 {
 	si := sigmas[i]
-	if si < 1 {
-		return 0
+	last := si
+	for j, sj := range sigmas {
+		if j != i && sj-1 < last {
+			last = sj - 1
+		}
 	}
 	var pi float64
-	for tau := 1; tau <= si; tau++ {
+	for tau := 1; tau <= last; tau++ {
 		term := 1 / float64(si)
 		for j, sj := range sigmas {
-			if j == i {
-				continue
-			}
-			if sj > tau {
+			if j != i { // σ_j > τ for every j ≠ i here
 				term *= float64(sj-tau) / float64(sj)
-			} else {
-				term = 0
-				break
 			}
 		}
 		pi += term
@@ -90,6 +89,10 @@ func PreambleCollisionProb(sigmas []int) float64 {
 // cannot meet the target, cap is returned along with ok=false.
 //
 // Fewer than two contenders can never collide, so τ_max = 1 suffices.
+// While two or more σ are 1 slot, those nodes always pick the same first
+// slot: every P_i is exactly 0 and γ exactly 1, so such a τ_max meets only
+// a target of 1 or more, and for any lower target it is skipped without
+// evaluating Eqs. 10-12.
 func MinTauMax(xis []float64, target float64, cap_ int) (tauMax int, ok bool) {
 	if cap_ < 1 {
 		cap_ = 1
@@ -102,8 +105,15 @@ func MinTauMax(xis []float64, target float64, cap_ int) (tauMax int, ok bool) {
 	}
 	sigmas := make([]int, len(xis))
 	for tm := 1; tm <= cap_; tm++ {
+		ones := 0
 		for i, xi := range xis {
 			sigmas[i] = Sigma(xi, tm)
+			if sigmas[i] == 1 {
+				ones++
+			}
+		}
+		if ones >= 2 && target < 1 {
+			continue
 		}
 		if PreambleCollisionProb(sigmas) <= target {
 			return tm, true

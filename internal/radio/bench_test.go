@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"testing"
 
 	"dftmsn/internal/energy"
@@ -22,6 +23,13 @@ func (nopHandler) OnAwake()              {}
 // sized to keep the paper's density (one radio per 225 m², the §5 default
 // of 100 nodes on 150×150 m²).
 func benchMedium(b *testing.B, n int, linear bool) (*sim.Scheduler, *Medium, []*Radio) {
+	return benchMediumOn(b, n, linear, nil)
+}
+
+// benchMediumOn is benchMedium whose radios, when table is non-nil (of
+// length n), read their positions from it, so a benchmark can move them;
+// otherwise each radio's position is a constant.
+func benchMediumOn(b *testing.B, n int, linear bool, table []geo.Point) (*sim.Scheduler, *Medium, []*Radio) {
 	b.Helper()
 	sched := sim.NewScheduler()
 	cfg := DefaultConfig()
@@ -30,12 +38,17 @@ func benchMedium(b *testing.B, n int, linear bool) (*sim.Scheduler, *Medium, []*
 	if err != nil {
 		b.Fatal(err)
 	}
-	field := 15.0 * float64(intSqrt(n))
+	field := benchField(n)
 	rng := simrand.New(7)
 	radios := make([]*Radio, n)
 	for i := range radios {
 		p := geo.Point{X: rng.Uniform(0, field), Y: rng.Uniform(0, field)}
-		r, err := m.Attach(packet.NodeID(i), func() geo.Point { return p }, nopHandler{}, energy.BerkeleyMote(), Idle)
+		position := func() geo.Point { return p }
+		if table != nil {
+			table[i] = p
+			position = func() geo.Point { return table[i] }
+		}
+		r, err := m.Attach(packet.NodeID(i), position, nopHandler{}, energy.BerkeleyMote(), Idle)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,6 +56,10 @@ func benchMedium(b *testing.B, n int, linear bool) (*sim.Scheduler, *Medium, []*
 	}
 	return sched, m, radios
 }
+
+// benchField is the side of the square field that holds n radios at the
+// paper's density.
+func benchField(n int) float64 { return 15.0 * float64(intSqrt(n)) }
 
 func intSqrt(n int) int {
 	i := 1
@@ -74,6 +91,52 @@ func BenchmarkMediumTransmit100(b *testing.B)        { benchTransmitFinish(b, 10
 func BenchmarkMediumTransmit100Linear(b *testing.B)  { benchTransmitFinish(b, 100, true) }
 func BenchmarkMediumTransmit1000(b *testing.B)       { benchTransmitFinish(b, 1000, false) }
 func BenchmarkMediumTransmit1000Linear(b *testing.B) { benchTransmitFinish(b, 1000, true) }
+
+// BenchmarkMediumTransmit100Mobile is BenchmarkMediumTransmit100 with the
+// radios moving: once every sender has put 20 frames on the air — about
+// what one NOSLEEP sender sends per 1 s mobility tick — every radio steps
+// to its next precomputed position and the medium is refreshed, so the
+// first frame of each sender per tick rebuilds its hearer list and the
+// other 19 reuse it.
+func BenchmarkMediumTransmit100Mobile(b *testing.B) {
+	const (
+		n               = 100
+		framesPerSender = 20
+		ticks           = 16 // precomputed position sets, cycled
+		step            = 5.0
+	)
+	pos := make([]geo.Point, n)
+	sched, m, radios := benchMediumOn(b, n, false, pos)
+	field := benchField(n)
+	rng := simrand.New(11)
+	tracks := make([][]geo.Point, ticks)
+	prev := pos
+	for k := range tracks {
+		tracks[k] = make([]geo.Point, len(pos))
+		for i, p := range prev {
+			x := math.Min(math.Max(p.X+rng.Uniform(-step, step), 0), field)
+			y := math.Min(math.Max(p.Y+rng.Uniform(-step, step), 0), field)
+			tracks[k][i] = geo.Point{X: x, Y: y}
+		}
+		prev = tracks[k]
+	}
+	perTick := framesPerSender * len(radios)
+	pre := &packet.Preamble{From: 0}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perTick == 0 {
+			copy(pos, tracks[(i/perTick)%ticks])
+			m.RefreshPositions()
+		}
+		r := radios[i%len(radios)]
+		if err := r.Transmit(pre); err != nil {
+			continue // sender mid-reception of the previous frame: skip
+		}
+		for sched.Step() {
+		}
+	}
+}
 
 // benchBusy measures the carrier-sense query with frames in flight in
 // proportion to the network size — the regime the index exists for, where

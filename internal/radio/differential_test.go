@@ -38,11 +38,14 @@ func (h *loggingHandler) OnAwake() {
 // transmissions, mobility jumps, carrier-sense queries, sleeps/wakes, and
 // kills/revives, with uniform and burst loss armed. The script is fully
 // determined by seed, so an indexed and a linear run of the same seed must
-// produce identical digests.
-func runDifferentialScript(t *testing.T, seed uint64, linear bool) string {
+// produce identical digests. Half the actions fall on a few chatty radios,
+// so sources send several frames per position epoch; the second result
+// counts the indexed arm's frames that reused a hearer list (0 when linear).
+func runDifferentialScript(t *testing.T, seed uint64, linear bool) (string, int) {
 	t.Helper()
 	const (
 		nRadios = 60
+		chatty  = 4
 		field   = 60.0 // dense enough for in-range contacts at 10 m
 		horizon = 40.0
 	)
@@ -105,9 +108,13 @@ func runDifferentialScript(t *testing.T, seed uint64, linear bool) string {
 
 	// Random traffic + churn + carrier-sense probes.
 	actRng := rng.Split("actions")
+	reused := 0
 	var act func()
 	act = func() {
 		i := actRng.IntN(nRadios)
+		if actRng.Bool(0.5) {
+			i = actRng.IntN(chatty)
+		}
 		r := radios[i]
 		switch actRng.IntN(10) {
 		case 0: // kill/revive cycle
@@ -133,8 +140,11 @@ func runDifferentialScript(t *testing.T, seed uint64, linear bool) string {
 			} else {
 				f = &packet.Preamble{From: r.ID()}
 			}
+			cached := !linear && r.hearEpoch == m.posEpoch
 			if err := r.Transmit(f); err != nil {
 				fmt.Fprintf(&log, "t=%.9f node=%d txrefused\n", sched.Now(), i)
+			} else if cached {
+				reused++
 			}
 		}
 		sched.AfterLabeled(actRng.Exp(0.02), "act", act)
@@ -150,22 +160,25 @@ func runDifferentialScript(t *testing.T, seed uint64, linear bool) string {
 		st.FramesSent, st.FramesDelivered, st.Collisions,
 		st.Losses, st.LossesUniform, st.LossesBurst,
 		st.ControlBits, st.DataBits, sched.Fired())
-	return log.String()
+	return log.String(), reused
 }
 
 // TestIndexedMediumMatchesLinearScan is the medium-level differential
 // property test: across randomized mobility/loss/churn scripts, the spatial
-// index must change nothing observable — deliveries, collision counts,
-// carrier-sense answers, stats, and event counts are all byte-identical to
-// the linear scan's.
+// index and the cached hearer lists must change nothing observable —
+// deliveries, collision counts, carrier-sense answers, stats, and event
+// counts are all byte-identical to the linear scan's.
 func TestIndexedMediumMatchesLinearScan(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			indexed := runDifferentialScript(t, seed, false)
-			linear := runDifferentialScript(t, seed, true)
+			indexed, reused := runDifferentialScript(t, seed, false)
+			linear, _ := runDifferentialScript(t, seed, true)
 			if indexed != linear {
 				reportFirstDiff(t, indexed, linear)
+			}
+			if reused < 100 {
+				t.Fatalf("only %d frames reused a hearer list; the script should send several frames per position epoch", reused)
 			}
 		})
 	}
@@ -231,4 +244,140 @@ func TestRefreshPositionsRefilesMovedRadios(t *testing.T) {
 	if len(rec.frames) != 1 {
 		t.Fatalf("returned radio received %d frames, want 1", len(rec.frames))
 	}
+}
+
+// hearerPair drives an indexed and a linear medium through the same
+// operations over one shared position table, so each frame's receivers on
+// the cached hearer-list path can be checked against the linear scan's.
+type hearerPair struct {
+	t      *testing.T
+	pos    []geo.Point
+	scheds [2]*sim.Scheduler
+	media  [2]*Medium // indexed, linear
+	radios [2][]*Radio
+}
+
+func newHearerPair(t *testing.T) *hearerPair {
+	t.Helper()
+	p := &hearerPair{t: t}
+	for arm := range p.media {
+		cfg := DefaultConfig()
+		cfg.LinearScan = arm == 1
+		p.scheds[arm] = sim.NewScheduler()
+		m, err := NewMedium(p.scheds[arm], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.media[arm] = m
+	}
+	return p
+}
+
+// attach adds a radio at the given position to both media.
+func (p *hearerPair) attach(at geo.Point) int {
+	p.t.Helper()
+	i := len(p.pos)
+	p.pos = append(p.pos, at)
+	for arm, m := range p.media {
+		r, err := m.Attach(packet.NodeID(i), func() geo.Point { return p.pos[i] }, nopHandler{}, energy.BerkeleyMote(), Idle)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		p.radios[arm] = append(p.radios[arm], r)
+	}
+	return i
+}
+
+// move relocates radio i and refreshes both media, as a mobility step does.
+func (p *hearerPair) move(i int, to geo.Point) {
+	p.pos[i] = to
+	for _, m := range p.media {
+		m.RefreshPositions()
+	}
+}
+
+// each applies fn to radio i of both media, then runs both to quiescence.
+func (p *hearerPair) each(i int, fn func(r *Radio) error) {
+	p.t.Helper()
+	for arm, r := range [2]*Radio{p.radios[0][i], p.radios[1][i]} {
+		if err := fn(r); err != nil {
+			p.t.Fatal(err)
+		}
+		for p.scheds[arm].Step() {
+		}
+	}
+}
+
+// send transmits one frame from radio i on both media and checks that the
+// radios that began receiving it are the same, in the same order, and are
+// want.
+func (p *hearerPair) send(i int, want ...packet.NodeID) {
+	p.t.Helper()
+	var got [2][]packet.NodeID
+	for arm, m := range p.media {
+		if err := p.radios[arm][i].Transmit(&packet.Preamble{From: packet.NodeID(i)}); err != nil {
+			p.t.Fatal(err)
+		}
+		for _, r := range m.active[len(m.active)-1].receivers {
+			got[arm] = append(got[arm], r.id)
+		}
+		for p.scheds[arm].Step() {
+		}
+	}
+	if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
+		p.t.Fatalf("frame from %d: indexed receivers %v, linear scan %v", i, got[0], got[1])
+	}
+	if fmt.Sprint(got[0]) != fmt.Sprint(want) {
+		p.t.Fatalf("frame from %d: receivers %v, want %v", i, got[0], want)
+	}
+}
+
+// TestHearerListsMatchLinearScan walks the hearer-list cache through the
+// events that must or must not rebuild it — repeat frames within one
+// position epoch, moves into and out of range (across cells and within
+// one), a kill and revive, and an attach after the first frame — checking
+// every frame's receivers against the linear scan.
+func TestHearerListsMatchLinearScan(t *testing.T) {
+	p := newHearerPair(t)
+	a := p.attach(geo.Point{X: 21, Y: 21})
+	b := p.attach(geo.Point{X: 25, Y: 21})
+	c := p.attach(geo.Point{X: 45, Y: 21}) // out of range, two cells away
+	indexed := p.media[0]
+	src := p.radios[0][a]
+
+	// The same source twice within one epoch: the second frame reuses the
+	// list built by the first.
+	p.send(a, 1)
+	epoch := indexed.posEpoch
+	if src.hearEpoch != epoch {
+		t.Fatalf("hearer list of the source built for epoch %d, medium is at %d", src.hearEpoch, epoch)
+	}
+	p.send(a, 1)
+	if indexed.posEpoch != epoch || src.hearEpoch != epoch {
+		t.Fatal("a frame without a position change started a new epoch")
+	}
+
+	// Into range across cells, then out of range within the same cell:
+	// only the epoch bump of RefreshPositions can catch the second move.
+	p.move(c, geo.Point{X: 28, Y: 21})
+	p.send(a, 1, 2)
+	p.move(c, geo.Point{X: 29.9, Y: 29.9})
+	p.send(a, 1)
+	p.move(c, geo.Point{X: 28, Y: 21})
+	p.move(b, geo.Point{X: 55, Y: 55})
+	p.send(a, 2)
+
+	// A killed radio stays on the list but hears nothing; revived and woken
+	// it hears again, with no rebuild needed in between.
+	p.each(c, func(r *Radio) error { r.Kill(); return nil })
+	p.send(a)
+	p.each(c, (*Radio).Revive)
+	p.each(c, (*Radio).Wake)
+	p.send(a, 2)
+
+	// A radio attached after the source's list was built joins it.
+	d := p.attach(geo.Point{X: 22, Y: 23})
+	p.send(a, 2, 3)
+	p.send(d, 0, 2)
+	p.send(c, 0, 3)
 }

@@ -127,7 +127,7 @@ func (ci *cellIndex) add(r *Radio, p geo.Point) {
 }
 
 // move re-files r under newKey. Cell slices are unordered (swap-remove), so
-// queries re-sort candidates by attach order before use.
+// hearer lists are re-sorted by attach order after each rebuild.
 func (ci *cellIndex) move(r *Radio, newKey int64) {
 	old := ci.slot(unpackCell(r.cellKey))
 	members := ci.cells[old].radios
@@ -171,16 +171,21 @@ func (ci *cellIndex) window(p geo.Point) (s0 int, nx, ny int32) {
 	return int(y0)*int(ci.w) + int(x0), x1 - x0, y1 - y0
 }
 
-// neighbors appends every radio filed in the 3×3 cell block around p to buf
-// and returns it. The result is unordered; callers needing the medium's
-// attach order (the linear scan's iteration order, which fixes RNG draw
-// order) must sort by Radio.idx.
-func (ci *cellIndex) neighbors(p geo.Point, buf []*Radio) []*Radio {
+// inRange appends to buf every radio other than self, filed in the 3×3 cell
+// block around p, whose position is within rangeSq of p, and returns it.
+// The result is unordered; callers needing the medium's attach order (the
+// linear scan's iteration order, which fixes RNG draw order) must sort by
+// Radio.idx.
+func (ci *cellIndex) inRange(self *Radio, p geo.Point, rangeSq float64, buf []*Radio) []*Radio {
 	s0, nx, ny := ci.window(p)
 	for y := int32(0); y < ny; y++ {
 		row := s0 + int(y)*int(ci.w)
 		for x := int32(0); x < nx; x++ {
-			buf = append(buf, ci.cells[row+int(x)].radios...)
+			for _, r := range ci.cells[row+int(x)].radios {
+				if r != self && p.DistSq(r.position()) <= rangeSq {
+					buf = append(buf, r)
+				}
+			}
 		}
 	}
 	return buf
@@ -224,9 +229,9 @@ func (ci *cellIndex) busy(pos geo.Point, self *Radio, rangeSq float64) bool {
 	return false
 }
 
-// sortByAttachOrder orders candidate radios by attach index. Neighborhoods
-// are tiny (a handful of cells' occupants), so an insertion sort beats
-// sort.Slice and allocates nothing.
+// sortByAttachOrder orders radios by attach index. Hearer lists are tiny (a
+// range disc's occupants), so an insertion sort beats sort.Slice and
+// allocates nothing.
 func sortByAttachOrder(rs []*Radio) {
 	for i := 1; i < len(rs); i++ {
 		r := rs[i]

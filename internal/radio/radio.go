@@ -169,6 +169,22 @@ func (b BurstConfig) Validate() error {
 	return nil
 }
 
+// kindCounters is a per-frame-kind counter indexed by packet.Kind; every
+// packet.Frame is one of that package's six kinds. The maps Stats returns
+// and the lists ExportState writes are built from it on demand.
+type kindCounters [packet.KindAck + 1]uint64
+
+// toMap returns the nonzero counters as a map, the shape Stats exposes.
+func (c *kindCounters) toMap() map[packet.Kind]uint64 {
+	out := make(map[packet.Kind]uint64)
+	for k, v := range c {
+		if v > 0 {
+			out[packet.Kind(k)] = v
+		}
+	}
+	return out
+}
+
 // Medium is the shared broadcast channel. All radios attach to one medium.
 type Medium struct {
 	cfg      Config
@@ -176,10 +192,12 @@ type Medium struct {
 	radios   []*Radio
 	active   []*transmission // frames in flight; swap-removed at frame end
 	index    *cellIndex      // nil when cfg.LinearScan
-	scratch  []*Radio        // reusable neighborhood-query buffer
+	posEpoch uint64          // bumped whenever a position may have changed; see hearersOf
 	txPool   []*transmission // recycled transmission objects
 	finishFn func(any)       // bound once; frame-end events carry the tx as arg
-	stats    Stats
+	stats    Stats           // scalar counters; the per-kind maps stay nil
+	sent     kindCounters    // Stats.FramesSent
+	received kindCounters    // Stats.FramesDelivered
 	lossProb float64
 	lossRng  *simrand.Source
 	burst    *BurstConfig
@@ -212,14 +230,7 @@ func NewMedium(sched *sim.Scheduler, cfg Config) (*Medium, error) {
 	if sched == nil {
 		return nil, errors.New("radio: nil scheduler")
 	}
-	m := &Medium{
-		cfg:   cfg,
-		sched: sched,
-		stats: Stats{
-			FramesSent:      make(map[packet.Kind]uint64),
-			FramesDelivered: make(map[packet.Kind]uint64),
-		},
-	}
+	m := &Medium{cfg: cfg, sched: sched, posEpoch: 1}
 	if !cfg.LinearScan {
 		// Cell side = transmission range: the minimum size for which the
 		// 3×3 neighborhood provably covers the range disc.
@@ -300,22 +311,9 @@ func (m *Medium) burstLossProb() float64 {
 
 // Stats returns a snapshot of the channel counters.
 func (m *Medium) Stats() Stats {
-	out := Stats{
-		FramesSent:      make(map[packet.Kind]uint64, len(m.stats.FramesSent)),
-		FramesDelivered: make(map[packet.Kind]uint64, len(m.stats.FramesDelivered)),
-		Collisions:      m.stats.Collisions,
-		Losses:          m.stats.Losses,
-		LossesUniform:   m.stats.LossesUniform,
-		LossesBurst:     m.stats.LossesBurst,
-		ControlBits:     m.stats.ControlBits,
-		DataBits:        m.stats.DataBits,
-	}
-	for k, v := range m.stats.FramesSent {
-		out.FramesSent[k] = v
-	}
-	for k, v := range m.stats.FramesDelivered {
-		out.FramesDelivered[k] = v
-	}
+	out := m.stats
+	out.FramesSent = m.sent.toMap()
+	out.FramesDelivered = m.received.toMap()
 	return out
 }
 
@@ -361,20 +359,25 @@ func (m *Medium) Attach(id packet.NodeID, position func() geo.Point, handler Han
 	m.radios = append(m.radios, r)
 	if m.index != nil {
 		m.index.add(r, position())
+		m.posEpoch++ // the new radio joins its neighbours' hearer lists
 	}
 	return r, nil
 }
 
 // RefreshPositions re-files every radio whose position moved it across a
-// cell boundary since the last refresh. Positions in this simulator are
-// piecewise constant — they change only inside a mobility step — so calling
-// this after each step keeps the index exact; between refreshes the index
-// answers queries for the positions as of the last refresh, which is also
-// what every radio's position function reports. A no-op in linear mode.
+// cell boundary since the last refresh, and starts a new position epoch, so
+// every hearer list is rebuilt before its next use. Positions in this
+// simulator are piecewise constant — they change only inside a mobility
+// step — so calling this after each step keeps the index and the hearer
+// lists exact; between refreshes they answer for the positions as of the
+// last refresh, which is also what every radio's position function
+// reports. Any code that moves a radio must call it before the next frame
+// starts. A no-op in linear mode.
 func (m *Medium) RefreshPositions() {
 	if m.index == nil {
 		return
 	}
+	m.posEpoch++
 	for _, r := range m.radios {
 		if key := m.index.cellKeyFor(r.position()); key != r.cellKey {
 			m.index.move(r, key)
@@ -425,10 +428,10 @@ func (m *Medium) transmit(r *Radio, f packet.Frame) {
 	tx.activeIdx = len(m.active)
 	m.active = append(m.active, tx)
 	if m.index != nil {
-		tx.cellKey = m.index.cellKeyFor(tx.srcPos)
+		tx.cellKey = r.cellKey // filed from the same epoch's position
 		m.index.txAdd(tx)
 	}
-	m.stats.FramesSent[f.Kind()]++
+	m.sent[f.Kind()]++
 	bits := uint64(f.AirBits(m.cfg.Sizes))
 	if f.Kind() == packet.KindData {
 		m.stats.DataBits += bits
@@ -436,53 +439,68 @@ func (m *Medium) transmit(r *Radio, f packet.Frame) {
 		m.stats.ControlBits += bits
 	}
 
-	// Start receptions at every idle-listening radio in range. The indexed
-	// path restricts the scan to the 3×3 cell neighborhood — complete since
-	// cell size >= range — sorted back into attach order so the loss RNG
-	// draws fire in exactly the linear scan's order.
-	candidates := m.radios
+	// Start receptions at every idle-listening radio in range, in attach
+	// order so the loss RNG draws fire in the same order on both paths.
 	if m.index != nil {
-		m.scratch = m.index.neighbors(tx.srcPos, m.scratch[:0])
-		sortByAttachOrder(m.scratch)
-		candidates = m.scratch
-	}
-	rangeSq := m.cfg.RangeM * m.cfg.RangeM
-	for _, other := range candidates {
-		if other == r {
-			continue
+		for _, other := range m.hearersOf(r, tx.srcPos) {
+			m.reach(tx, other, now)
 		}
-		if tx.srcPos.DistSq(other.position()) > rangeSq {
-			continue
-		}
-		if other.state == Idle && other.preCapture != nil {
-			// Give an idle radio's owner a chance to materialize elided
-			// state before the frame becomes observable. The hook must
-			// leave the radio Idle; it runs before beginReception and
-			// before any loss draw, so the RNG stream is untouched.
-			other.preCapture()
-		}
-		switch other.state {
-		case Idle:
-			other.beginReception(tx, now)
-			if m.lossProb > 0 && m.lossRng.Bool(m.lossProb) {
-				other.rx.corrupt = true
-				other.rx.lost = true
-			} else if m.burst != nil && m.burstRng.Bool(m.burstLossProb()) {
-				other.rx.corrupt = true
-				other.rx.lost = true
-				other.rx.lostBurst = true
+	} else {
+		rangeSq := m.cfg.RangeM * m.cfg.RangeM
+		for _, other := range m.radios {
+			if other == r || tx.srcPos.DistSq(other.position()) > rangeSq {
+				continue
 			}
-		case Receiving:
-			// Overlap corrupts whatever this radio was receiving.
-			if other.rx != nil {
-				other.rx.corrupt = true
-			}
-		default:
-			// Off, Switching, Transmitting: hears nothing.
+			m.reach(tx, other, now)
 		}
 	}
 
 	m.sched.PostArg(tx.end-now, "frame-end", m.finishFn, tx)
+}
+
+// hearersOf returns the radios within range of r, which is at pos, in
+// attach order, as of the current position epoch. The list is rebuilt by
+// one range-filtered walk of the 3×3 cells around r on r's first frame of
+// an epoch; later frames of the epoch reuse it. It is exact because
+// positions change only between epochs (see RefreshPositions), and it does
+// not depend on radio state, so kills, revives and sleeps need no rebuild.
+func (m *Medium) hearersOf(r *Radio, pos geo.Point) []*Radio {
+	if r.hearEpoch != m.posEpoch {
+		r.hearers = m.index.inRange(r, pos, m.cfg.RangeM*m.cfg.RangeM, r.hearers[:0])
+		sortByAttachOrder(r.hearers)
+		r.hearEpoch = m.posEpoch
+	}
+	return r.hearers
+}
+
+// reach applies frame tx's start to one radio in range of its source.
+func (m *Medium) reach(tx *transmission, other *Radio, now sim.Time) {
+	if other.state == Idle && other.preCapture != nil {
+		// Give an idle radio's owner a chance to materialize elided
+		// state before the frame becomes observable. The hook must
+		// leave the radio Idle; it runs before beginReception and
+		// before any loss draw, so the RNG stream is untouched.
+		other.preCapture()
+	}
+	switch other.state {
+	case Idle:
+		other.beginReception(tx, now)
+		if m.lossProb > 0 && m.lossRng.Bool(m.lossProb) {
+			other.rx.corrupt = true
+			other.rx.lost = true
+		} else if m.burst != nil && m.burstRng.Bool(m.burstLossProb()) {
+			other.rx.corrupt = true
+			other.rx.lost = true
+			other.rx.lostBurst = true
+		}
+	case Receiving:
+		// Overlap corrupts whatever this radio was receiving.
+		if other.rx != nil {
+			other.rx.corrupt = true
+		}
+	default:
+		// Off, Switching, Transmitting: hears nothing.
+	}
 }
 
 // newTransmission takes a transmission from the pool, or allocates one.
@@ -535,7 +553,7 @@ func (m *Medium) finish(tx *transmission) {
 			m.stats.Collisions++
 			r.handler.OnCollision()
 		default:
-			m.stats.FramesDelivered[tx.frame.Kind()]++
+			m.received[tx.frame.Kind()]++
 			r.handler.OnFrame(tx.frame)
 		}
 	}
@@ -586,6 +604,11 @@ type Radio struct {
 	idx        int    // attach order; fixes candidate iteration order
 	cellKey    int64  // current spatial-index cell (indexed mode)
 	preCapture func() // pre-reception hook; see SetPreCapture
+
+	// Indexed mode: the radios in range of this one as of position epoch
+	// hearEpoch (see Medium.hearersOf).
+	hearers   []*Radio
+	hearEpoch uint64
 }
 
 // SetPreCapture registers a hook invoked when this radio is idle and in

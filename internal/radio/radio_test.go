@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dftmsn/internal/energy"
@@ -736,5 +737,44 @@ func TestStatsSnapshotIsolation(t *testing.T) {
 	snap.FramesSent[packet.KindData] = 999
 	if rg.medium.Stats().FramesSent[packet.KindData] == 999 {
 		t.Fatal("Stats exposed internal map")
+	}
+}
+
+// TestFrameCountersSnapshotRoundTrip checks the per-kind frame counters'
+// snapshot form: only kinds with a count are listed, in kind order, a
+// restore reproduces Stats exactly, and a snapshot naming a frame kind the
+// medium does not count is refused.
+func TestFrameCountersSnapshotRoundTrip(t *testing.T) {
+	rg := newRig(t)
+	src, _ := rg.attach(t, 1, geo.Point{X: 0, Y: 0}, Idle)
+	rg.attach(t, 2, geo.Point{X: 5, Y: 0}, Idle)
+	for _, f := range []packet.Frame{&packet.Preamble{From: 1}, &packet.Data{From: 1, ID: 1}, &packet.Preamble{From: 1}} {
+		if err := src.Transmit(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := rg.sched.Run(sim.Infinity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := rg.medium.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []KindCount{{Kind: packet.KindPreamble, Count: 2}, {Kind: packet.KindData, Count: 1}}
+	if !reflect.DeepEqual(st.Stats.FramesSent, want) || !reflect.DeepEqual(st.Stats.FramesDelivered, want) {
+		t.Fatalf("snapshot counters sent %v delivered %v, want %v for both", st.Stats.FramesSent, st.Stats.FramesDelivered, want)
+	}
+
+	fresh := newRig(t)
+	if err := fresh.medium.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fresh.medium.Stats(), rg.medium.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored stats %+v, want %+v", got, want)
+	}
+
+	st.Stats.FramesSent = append(st.Stats.FramesSent, KindCount{Kind: packet.KindAck + 1, Count: 1})
+	if err := newRig(t).medium.RestoreState(st); err == nil {
+		t.Fatal("restore accepted a count for an unknown frame kind")
 	}
 }

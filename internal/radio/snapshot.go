@@ -2,7 +2,6 @@ package radio
 
 import (
 	"fmt"
-	"sort"
 
 	"dftmsn/internal/energy"
 	"dftmsn/internal/packet"
@@ -11,8 +10,7 @@ import (
 )
 
 // KindCount is one (frame kind, count) pair of a StatsState. Snapshots carry
-// the per-kind counters as kind-sorted slices so the encoding is
-// deterministic (the live counters are maps).
+// the nonzero per-kind counters as kind-sorted slices.
 type KindCount struct {
 	Kind  packet.Kind
 	Count uint64
@@ -30,13 +28,27 @@ type StatsState struct {
 	DataBits        uint64
 }
 
-func kindCounts(m map[packet.Kind]uint64) []KindCount {
-	out := make([]KindCount, 0, len(m))
-	for k, v := range m {
-		out = append(out, KindCount{Kind: k, Count: v})
+// list returns the nonzero counters in kind order.
+func (c *kindCounters) list() []KindCount {
+	var out []KindCount
+	for k, v := range c {
+		if v > 0 {
+			out = append(out, KindCount{Kind: packet.Kind(k), Count: v})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
 	return out
+}
+
+// restore overwrites the counters with a snapshot's list.
+func (c *kindCounters) restore(kcs []KindCount) error {
+	*c = kindCounters{}
+	for _, kc := range kcs {
+		if kc.Kind < packet.KindPreamble || int(kc.Kind) >= len(c) {
+			return fmt.Errorf("radio: snapshot counts frame kind %d", kc.Kind)
+		}
+		c[kc.Kind] = kc.Count
+	}
+	return nil
 }
 
 // MediumState is a quiescent medium's snapshot: channel counters plus the
@@ -58,8 +70,8 @@ func (m *Medium) ExportState() (MediumState, error) {
 	}
 	st := MediumState{
 		Stats: StatsState{
-			FramesSent:      kindCounts(m.stats.FramesSent),
-			FramesDelivered: kindCounts(m.stats.FramesDelivered),
+			FramesSent:      m.sent.list(),
+			FramesDelivered: m.received.list(),
 			Collisions:      m.stats.Collisions,
 			Losses:          m.stats.Losses,
 			LossesUniform:   m.stats.LossesUniform,
@@ -90,13 +102,11 @@ func (m *Medium) RestoreState(st MediumState) error {
 	if (st.BurstRNG != nil) != (m.burstRng != nil) {
 		return fmt.Errorf("radio: snapshot and medium disagree on the burst loss process")
 	}
-	clear(m.stats.FramesSent)
-	clear(m.stats.FramesDelivered)
-	for _, kc := range st.Stats.FramesSent {
-		m.stats.FramesSent[kc.Kind] = kc.Count
+	if err := m.sent.restore(st.Stats.FramesSent); err != nil {
+		return err
 	}
-	for _, kc := range st.Stats.FramesDelivered {
-		m.stats.FramesDelivered[kc.Kind] = kc.Count
+	if err := m.received.restore(st.Stats.FramesDelivered); err != nil {
+		return err
 	}
 	m.stats.Collisions = st.Stats.Collisions
 	m.stats.Losses = st.Stats.Losses

@@ -13,8 +13,9 @@ import (
 // differentialConfigs enumerates end-to-end scenarios exercising every
 // subsystem that interacts with the medium's range queries: mobility (sinks
 // included), uniform and Gilbert–Elliott loss, churn crashes, one-shot kill
-// bursts, and both protocol families. Each is run twice — spatial index vs
-// linear scan — and must produce identical results.
+// bursts, and the FTD and FIFO protocol families, NOSLEEP included. Each is
+// run twice — spatial index vs linear scan — and must produce identical
+// results.
 func differentialConfigs() map[string]Config {
 	base := func(scheme core.Scheme, seed uint64) Config {
 		cfg := DefaultConfig(scheme)
@@ -51,6 +52,26 @@ func differentialConfigs() map[string]Config {
 	mobile.MobileSinks = true
 	mobile.LossProb = 0.05
 	cfgs["direct-mobile-sinks"] = mobile
+
+	// NOSLEEP sends the most frames per position epoch, so it leans on the
+	// cached hearer lists hardest; churn and kills revive radios whose
+	// lists were built in an earlier life.
+	nosleep := base(core.SchemeNOSLEEP, 8)
+	nosleep.LossProb = 0.1
+	nosleep.Faults = &faults.Plan{
+		Churn: &faults.Churn{MTBFSeconds: 150, MTTRSeconds: 40, Fraction: 0.5},
+		Kills: []faults.Kill{{AtSeconds: 500, Fraction: 0.2}},
+	}
+	cfgs["nosleep-churn-kills-loss"] = nosleep
+
+	// ZBR stands for the FIFO family of schemes.
+	zbr := base(core.SchemeZBR, 9)
+	zbr.MobileSinks = true
+	zbr.Faults = &faults.Plan{Burst: &faults.Burst{
+		GoodLossProb: 0.02, BadLossProb: 0.6,
+		MeanGoodSeconds: 40, MeanBadSeconds: 8,
+	}}
+	cfgs["zbr-mobile-sinks-burst"] = zbr
 
 	return cfgs
 }

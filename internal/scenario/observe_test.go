@@ -53,7 +53,7 @@ func readAll(tee *telemetry.StreamTee) []telemetry.Event {
 // to fire at every probe) and a StreamTee in the recorder chain, paged by
 // a concurrent ReadAt reader, must produce a bit-identical Result and
 // byte-identical telemetry vs. a plain unobserved run, across the full
-// 10-config elision matrix. Observability may cost wall clock; it may not
+// 12-config elision matrix. Observability may cost wall clock; it may not
 // perturb virtual time.
 func TestObservedRunMatchesUnobserved(t *testing.T) {
 	for name, cfg := range elisionConfigs() {

@@ -37,7 +37,7 @@ func compareArm(t *testing.T, arm string, wantRes, gotRes Result, wantEvents, go
 }
 
 // TestSnapshotDifferential is the end-to-end correctness gate for the
-// snapshot tentpole, over the full 10-config differential matrix (faults,
+// snapshot tentpole, over the full 12-config differential matrix (faults,
 // battery, burst loss, low-duty elision, mobile sinks). Three arms must be
 // bit-identical on the whole Result and the full typed telemetry stream:
 //
