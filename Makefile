@@ -40,14 +40,14 @@ bench-json:
 			-benchmem -benchtime=3x ./internal/scenario/ ) \
 		| $(GO) run ./cmd/benchjson > BENCH_baseline.json
 
-# Diff a fresh benchmark run against the committed baseline; exits nonzero
-# on a >25% ns/op, allocs/op or B/op regression, or a >10% events/run
-# growth, in any benchmark present in both.
+# Diff the same tier against a base revision run on this host (median ns/op,
+# base and head alternating; see cmd/benchjson/pair.sh) and against the committed
+# baseline (allocs/op, B/op, events/run); exits nonzero on a >25% ns/op,
+# allocs/op or B/op regression, or a >10% events/run growth. BENCH_BASE
+# overrides the base revision, BENCH_ROUNDS the number of pairs.
+BENCH_BASE ?=
 bench-diff:
-	( $(GO) test -bench=. -benchmem $(BENCH_PKGS) && \
-	  DFTMSN_SCALE_BENCH=1 $(GO) test -bench='BenchmarkRunLarge2000Idle$$' \
-			-benchmem -benchtime=3x ./internal/scenario/ ) \
-		| $(GO) run ./cmd/benchjson -diff BENCH_baseline.json
+	GO=$(GO) BENCH_PKGS="$(BENCH_PKGS)" bash cmd/benchjson/pair.sh $(BENCH_BASE)
 
 # The observability overhead gate: the kernel progress probe (OnProgress
 # armed, default throttle) must cost less than 1% ns/op over the unobserved

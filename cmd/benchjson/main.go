@@ -5,16 +5,23 @@
 // Usage:
 //
 //	go test -bench=. -benchmem -benchtime=1x ./... | benchjson
-//	go test -bench=. -benchmem ./... | benchjson -diff BENCH_baseline.json
+//	benchjson -diff BENCH_baseline.json -ns-base base.out < head.out
 //	go test -bench=RunLarge ./... | benchjson \
 //	    -speedup-slow BenchmarkRunLarge2000Linear \
 //	    -speedup-fast BenchmarkRunLarge2000 -speedup-min 5
 //
-// With -diff, every benchmark present in both the baseline and the fresh
-// run is compared; a ns/op increase beyond -ns-tol, an allocs/op or B/op
+// -diff compares the fresh run on stdin (the head revision) with two
+// references. ns/op is compared against -ns-base, a transcript of the base
+// revision's runs on the same host (make bench-diff alternates base and
+// head runs of the same benchmarks); ns/op recorded on another machine says
+// more about the machine than about the change. allocs/op, B/op and
+// events/run — deterministic, so host-independent — are compared against
+// the baseline JSON. A ns/op increase beyond -ns-tol, an allocs/op or B/op
 // increase beyond -alloc-tol (default 25% each), or an events/run increase
 // beyond -events-tol (default 10%; the scenario scale benchmarks report
 // this custom metric), is a regression and the exit status is nonzero.
+// Under -diff, repeated runs of a benchmark fold to their median ns/op on
+// both sides; otherwise to their fastest run (see coalesce).
 // With the -speedup flags, the named slow benchmark must be at least
 // -speedup-min times the ns/op of the fast one.
 package main
@@ -27,6 +34,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -129,6 +137,7 @@ func main() {
 	nsTol := flag.Float64("ns-tol", 0.25, "tolerated fractional ns/op increase before a diff counts as a regression")
 	allocTol := flag.Float64("alloc-tol", 0.25, "tolerated fractional allocs/op or B/op increase before a diff counts as a regression")
 	eventsTol := flag.Float64("events-tol", 0.10, "tolerated fractional events/run increase before a diff counts as a regression")
+	nsBasePath := flag.String("ns-base", "", "with -diff (required): go test -bench transcript of the base revision on this host to diff ns/op against")
 	speedupSlow := flag.String("speedup-slow", "", "benchmark name expected to be slower (speedup assertion)")
 	speedupFast := flag.String("speedup-fast", "", "benchmark name expected to be faster (speedup assertion)")
 	speedupMin := flag.Float64("speedup-min", 0, "required ns/op ratio slow/fast (0 disables the assertion)")
@@ -141,18 +150,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	coalesce(doc)
 
 	failed := false
 	checked := false
 	if *diffPath != "" {
 		checked = true
+		if *nsBasePath == "" {
+			fmt.Fprintln(os.Stderr, "benchjson: -diff needs -ns-base, the base revision's same-host transcript")
+			os.Exit(2)
+		}
+		fold(doc, median)
 		base, err := loadBaseline(*diffPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		rows, regressed := diff(base, doc, *nsTol, *allocTol, *eventsTol)
+		nsBase, err := loadTranscript(*nsBasePath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		rows, regressed := diff(base, nsBase, doc, *nsTol, *allocTol, *eventsTol)
 		for _, row := range rows {
 			fmt.Println(row)
 		}
@@ -163,6 +181,7 @@ func main() {
 	}
 	if *speedupMin > 0 || *speedupMax > 0 || *speedupEventsMin > 0 {
 		checked = true
+		coalesce(doc)
 		rows, ok := speedup(doc, *speedupSlow, *speedupFast, *speedupMin, *speedupMax, *speedupEventsMin)
 		for _, row := range rows {
 			fmt.Println(row)
@@ -178,6 +197,7 @@ func main() {
 		return
 	}
 
+	coalesce(doc)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {
@@ -262,21 +282,56 @@ func parse(r io.Reader) (*Document, error) {
 // identical across runs, so keeping the fastest row loses nothing. Rows
 // from an explicit -cpu sweep are distinct identities (see key) and are
 // never folded into each other.
-func coalesce(doc *Document) {
-	best := make(map[string]int, len(doc.Benchmarks))
-	out := doc.Benchmarks[:0]
+func coalesce(doc *Document) { fold(doc, fastest) }
+
+// fold replaces each group of duplicate rows (same key, first occurrence's
+// position) with pick's choice from the group. A folded document has one
+// row per key, so folding it again changes nothing.
+func fold(doc *Document, pick func([]Benchmark) Benchmark) {
+	groups := make(map[string][]Benchmark, len(doc.Benchmarks))
+	var order []string
 	for _, b := range doc.Benchmarks {
 		k := key(doc, b)
-		if i, ok := best[k]; ok {
-			if b.NsPerOp < out[i].NsPerOp {
-				out[i] = b
-			}
-			continue
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
 		}
-		best[k] = len(out)
-		out = append(out, b)
+		groups[k] = append(groups[k], b)
+	}
+	out := doc.Benchmarks[:0]
+	for _, k := range order {
+		out = append(out, pick(groups[k]))
 	}
 	doc.Benchmarks = out
+}
+
+// fastest picks the run with the lowest ns/op.
+func fastest(runs []Benchmark) Benchmark {
+	best := runs[0]
+	for _, b := range runs[1:] {
+		if b.NsPerOp < best.NsPerOp {
+			best = b
+		}
+	}
+	return best
+}
+
+// median picks a run carrying the median ns/op (the mean of the two middle
+// runs for an even count). The regression gate compares medians: over many
+// runs spread across alternating processes, the median moves with a change
+// to the code but not with the odd process that lands on a busy core or a
+// lucky one, either of which sways a best-of-N comparison.
+func median(runs []Benchmark) Benchmark {
+	ns := make([]float64, len(runs))
+	for i, b := range runs {
+		ns[i] = b.NsPerOp
+	}
+	sort.Float64s(ns)
+	m := runs[0]
+	m.NsPerOp = ns[len(ns)/2]
+	if len(ns)%2 == 0 {
+		m.NsPerOp = (ns[len(ns)/2-1] + ns[len(ns)/2]) / 2
+	}
+	return m
 }
 
 // loadBaseline reads a Document previously written by this tool.
@@ -301,34 +356,62 @@ func loadBaseline(path string) (*Document, error) {
 	return &doc, nil
 }
 
-// diff compares every benchmark present in both documents (keyed by
-// package + name) and reports per-metric changes. A ns/op, allocs/op, B/op
-// or events/run increase beyond its fractional tolerance (allocTol covers
-// both memory columns) is a regression — the events/run gate is what catches an elision opportunity
-// silently lost (events regrowing without ns/op moving much on a fast
-// machine). Benchmarks present on only one side are skipped: baselines
-// are allowed to trail newly added benchmarks until regenerated. Rows are
-// matched by the procs-aware key, so a baseline recorded on an 8-core
-// machine still matches a fresh 16-core run row-for-row, while explicit
-// -cpu sweep rows only ever match their same-suffix counterpart.
-func diff(base, fresh *Document, nsTol, allocTol, eventsTol float64) (rows []string, regressed bool) {
-	baseBy := make(map[string]Benchmark, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		baseBy[key(base, b)] = b
+// loadTranscript parses a go test -bench transcript file and folds each
+// benchmark's runs to their median.
+func loadTranscript(path string) (*Document, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
+	defer f.Close()
+	doc, err := parse(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	fold(doc, median)
+	return doc, nil
+}
+
+// diff compares every fresh benchmark with its counterparts (keyed by
+// package + name) and reports per-metric changes. ns/op is compared
+// against nsBase, the base revision's same-host runs; allocs/op, B/op and
+// events/run against base, the baseline JSON. An increase beyond its fractional
+// tolerance (allocTol covers both memory columns) is a regression — the
+// events/run gate is what catches an elision opportunity silently lost
+// (events regrowing without ns/op moving much on a fast machine). A
+// benchmark with no counterpart is skipped: baselines are allowed to trail
+// newly added benchmarks until regenerated. Rows are matched by the
+// procs-aware key, so a baseline recorded on an 8-core machine still
+// matches a fresh 16-core run row-for-row, while explicit -cpu sweep rows
+// only ever match their same-suffix counterpart.
+func diff(base, nsBase, fresh *Document, nsTol, allocTol, eventsTol float64) (rows []string, regressed bool) {
+	index := func(doc *Document) map[string]Benchmark {
+		by := make(map[string]Benchmark, len(doc.Benchmarks))
+		for _, b := range doc.Benchmarks {
+			by[key(doc, b)] = b
+		}
+		return by
+	}
+	baseBy := index(base)
+	nsBy := index(nsBase)
 	for _, f := range fresh.Benchmarks {
-		b, ok := baseBy[key(fresh, f)]
-		if !ok {
+		b, inBase := baseBy[key(fresh, f)]
+		nb, inNs := nsBy[key(fresh, f)]
+		if !inBase && !inNs {
 			continue
 		}
 		verdict := "ok"
-		nsDelta := frac(f.NsPerOp, b.NsPerOp)
-		if b.NsPerOp > 0 && nsDelta > nsTol {
-			verdict = "REGRESSION(ns/op)"
-			regressed = true
+		nsNote := "ns/op n/a"
+		if inNs {
+			nsDelta := frac(f.NsPerOp, nb.NsPerOp)
+			nsNote = fmt.Sprintf("ns/op %s -> %s (%+.1f%%)", fmtNs(nb.NsPerOp), fmtNs(f.NsPerOp), 100*nsDelta)
+			if nb.NsPerOp > 0 && nsDelta > nsTol {
+				verdict = "REGRESSION(ns/op)"
+				regressed = true
+			}
 		}
 		memNote := ""
-		if b.HasMem && f.HasMem {
+		if inBase && b.HasMem && f.HasMem {
 			allocDelta := frac(float64(f.AllocsPerOp), float64(b.AllocsPerOp))
 			bytesDelta := frac(f.BytesPerOp, b.BytesPerOp)
 			memNote = fmt.Sprintf("  allocs %d -> %d (%+.1f%%)  bytes %.0f -> %.0f (%+.1f%%)",
@@ -343,7 +426,7 @@ func diff(base, fresh *Document, nsTol, allocTol, eventsTol float64) (rows []str
 			}
 		}
 		eventsNote := ""
-		if b.HasEvents && f.HasEvents {
+		if inBase && b.HasEvents && f.HasEvents {
 			eventsDelta := frac(f.EventsPerRun, b.EventsPerRun)
 			eventsNote = fmt.Sprintf("  events %.0f -> %.0f (%+.1f%%)",
 				b.EventsPerRun, f.EventsPerRun, 100*eventsDelta)
@@ -352,10 +435,19 @@ func diff(base, fresh *Document, nsTol, allocTol, eventsTol float64) (rows []str
 				regressed = true
 			}
 		}
-		rows = append(rows, fmt.Sprintf("%-14s %s.%s: ns/op %.0f -> %.0f (%+.1f%%)%s%s",
-			verdict, f.Package, f.Name, b.NsPerOp, f.NsPerOp, 100*nsDelta, memNote, eventsNote))
+		rows = append(rows, fmt.Sprintf("%-14s %s.%s: %s%s%s",
+			verdict, f.Package, f.Name, nsNote, memNote, eventsNote))
 	}
 	return rows, regressed
+}
+
+// fmtNs prints a ns/op value with three significant digits below 100 ns,
+// where whole nanoseconds would hide the change being judged.
+func fmtNs(ns float64) string {
+	if ns < 100 {
+		return strconv.FormatFloat(ns, 'g', 3, 64)
+	}
+	return strconv.FormatFloat(ns, 'f', 0, 64)
 }
 
 // frac returns the fractional change from old to new (0 when old is 0).

@@ -122,7 +122,7 @@ func TestDiffFlagsRegressions(t *testing.T) {
 		{Package: "p", Name: "BenchmarkB", NsPerOp: 900, AllocsPerOp: 200, HasMem: true},  // alloc regression
 		{Package: "p", Name: "BenchmarkNew", NsPerOp: 5},                                  // not in baseline
 	}}
-	rows, regressed := diff(base, fresh, 0.25, 0.25, 0.10)
+	rows, regressed := diff(base, base, fresh, 0.25, 0.25, 0.10)
 	if !regressed {
 		t.Fatalf("diff missed the allocs/op regression; rows: %v", rows)
 	}
@@ -140,7 +140,7 @@ func TestDiffFlagsRegressions(t *testing.T) {
 	improved := &Document{Benchmarks: []Benchmark{
 		{Package: "p", Name: "BenchmarkA", NsPerOp: 500, AllocsPerOp: 10, HasMem: true},
 	}}
-	if _, reg := diff(base, improved, 0.25, 0.25, 0.10); reg {
+	if _, reg := diff(base, base, improved, 0.25, 0.25, 0.10); reg {
 		t.Errorf("improvement reported as regression")
 	}
 }
@@ -158,7 +158,7 @@ func TestDiffFlagsBytesRegressions(t *testing.T) {
 		{Package: "p", Name: "BenchmarkNew", NsPerOp: 1000, BytesPerOp: 5200, AllocsPerOp: 10, HasMem: true},
 		{Package: "p", Name: "BenchmarkNoMem", NsPerOp: 1000, BytesPerOp: 1e9, AllocsPerOp: 1, HasMem: true},
 	}}
-	rows, regressed := diff(base, fresh, 0.25, 0.25, 0.10)
+	rows, regressed := diff(base, base, fresh, 0.25, 0.25, 0.10)
 	if !regressed || !strings.Contains(rows[0], "REGRESSION(B/op)") {
 		t.Fatalf("diff missed the B/op regression; rows: %v", rows)
 	}
@@ -168,13 +168,13 @@ func TestDiffFlagsBytesRegressions(t *testing.T) {
 	within := &Document{Benchmarks: []Benchmark{
 		{Package: "p", Name: "BenchmarkNew", NsPerOp: 1000, BytesPerOp: 4900, AllocsPerOp: 10, HasMem: true},
 	}}
-	if rows, reg := diff(base, within, 0.25, 0.25, 0.10); reg {
+	if rows, reg := diff(base, base, within, 0.25, 0.25, 0.10); reg {
 		t.Errorf("within-tolerance bytes growth flagged: %v", rows)
 	}
 	shrunk := &Document{Benchmarks: []Benchmark{
 		{Package: "p", Name: "BenchmarkNew", NsPerOp: 1000, BytesPerOp: 1000, AllocsPerOp: 12, HasMem: true},
 	}}
-	if rows, reg := diff(base, shrunk, 0.25, 0.25, 0.10); reg {
+	if rows, reg := diff(base, base, shrunk, 0.25, 0.25, 0.10); reg {
 		t.Errorf("bytes reduction flagged: %v", rows)
 	}
 }
@@ -210,7 +210,7 @@ func TestDiffMatchesAcrossProcs(t *testing.T) {
 		{Package: "p", Name: "BenchmarkSweep", Procs: 1, NsPerOp: 9000}, // regression in the -cpu 1 arm
 		{Package: "p", Name: "BenchmarkSweep", Procs: 4, NsPerOp: 1000},
 	}}
-	rows, regressed := diff(base, fresh, 0.25, 0.25, 0.10)
+	rows, regressed := diff(base, base, fresh, 0.25, 0.25, 0.10)
 	if len(rows) != 3 {
 		t.Fatalf("diff compared %d rows, want 3: %v", len(rows), rows)
 	}
@@ -252,7 +252,7 @@ func TestDiffFlagsEventRegressions(t *testing.T) {
 		{Package: "p", Name: "BenchmarkRun", NsPerOp: 800, EventsPerRun: 12000, HasEvents: true},
 		{Package: "p", Name: "BenchmarkNoMetric", NsPerOp: 1000, EventsPerRun: 99, HasEvents: true},
 	}}
-	rows, regressed := diff(base, fresh, 0.25, 0.25, 0.10)
+	rows, regressed := diff(base, base, fresh, 0.25, 0.25, 0.10)
 	if !regressed {
 		t.Fatalf("diff missed the events/run regression; rows: %v", rows)
 	}
@@ -266,7 +266,7 @@ func TestDiffFlagsEventRegressions(t *testing.T) {
 	okFresh := &Document{Benchmarks: []Benchmark{
 		{Package: "p", Name: "BenchmarkRun", NsPerOp: 1000, EventsPerRun: 10500, HasEvents: true},
 	}}
-	if rows, reg := diff(base, okFresh, 0.25, 0.25, 0.10); reg {
+	if rows, reg := diff(base, base, okFresh, 0.25, 0.25, 0.10); reg {
 		t.Errorf("within-tolerance events growth flagged: %v", rows)
 	}
 }
@@ -391,5 +391,67 @@ func TestCoalesceBestOfN(t *testing.T) {
 	}
 	if b := doc.Benchmarks[2]; b.Package != "q" || b.NsPerOp != 90 {
 		t.Fatalf("same name in another package must stay separate: %+v", b)
+	}
+}
+
+// TestDiffSameHostNsBase checks the -ns-base leg: ns/op is judged against
+// the same-host base transcript, never the baseline JSON's machine, while
+// allocs/op stays judged against the baseline JSON; a benchmark the
+// baseline JSON lacks is still ns/op-gated when the base run has it.
+func TestDiffSameHostNsBase(t *testing.T) {
+	base := &Document{Benchmarks: []Benchmark{
+		{Package: "p", Name: "BenchmarkA", NsPerOp: 1000, AllocsPerOp: 10, HasMem: true},
+		{Package: "p", Name: "BenchmarkB", NsPerOp: 1000, AllocsPerOp: 10, HasMem: true},
+	}}
+	nsBase := &Document{Benchmarks: []Benchmark{
+		{Package: "p", Name: "BenchmarkA", NsPerOp: 2000},
+		{Package: "p", Name: "BenchmarkNew", NsPerOp: 100},
+	}}
+	fresh := &Document{Benchmarks: []Benchmark{
+		{Package: "p", Name: "BenchmarkA", NsPerOp: 2200, AllocsPerOp: 10, HasMem: true}, // +10% same host, +120% vs JSON
+		{Package: "p", Name: "BenchmarkB", NsPerOp: 9000, AllocsPerOp: 10, HasMem: true}, // no same-host row: ns/op not gated
+		{Package: "p", Name: "BenchmarkNew", NsPerOp: 110},
+	}}
+	rows, regressed := diff(base, nsBase, fresh, 0.25, 0.25, 0.10)
+	if regressed || len(rows) != 3 {
+		t.Fatalf("regressed=%v rows=%v; want 3 clean rows", regressed, rows)
+	}
+	if !strings.Contains(rows[0], "ns/op 2000 -> 2200") || !strings.Contains(rows[1], "ns/op n/a") {
+		t.Errorf("rows do not say what ns/op was compared against: %v", rows)
+	}
+
+	fresh.Benchmarks[2].NsPerOp = 130 // +30% against the same-host base
+	if rows, regressed = diff(base, nsBase, fresh, 0.25, 0.25, 0.10); !regressed ||
+		!strings.Contains(rows[2], "REGRESSION(ns/op)") {
+		t.Fatalf("same-host ns/op regression missed: %v", rows)
+	}
+	fresh.Benchmarks[2].NsPerOp = 110
+	fresh.Benchmarks[1].AllocsPerOp = 20 // allocs still gated against the JSON
+	if rows, regressed = diff(base, nsBase, fresh, 0.25, 0.25, 0.10); !regressed ||
+		!strings.Contains(rows[1], "REGRESSION(allocs/op)") {
+		t.Fatalf("allocs/op regression missed: %v", rows)
+	}
+}
+
+// TestFoldMedian pins the -diff fold: each benchmark's runs collapse to
+// their median ns/op (mean of the middle two for an even count) in the
+// first occurrence's position, keeping the deterministic columns.
+func TestFoldMedian(t *testing.T) {
+	doc := &Document{Benchmarks: []Benchmark{
+		{Package: "p", Name: "BenchmarkA", NsPerOp: 300, AllocsPerOp: 7, HasMem: true},
+		{Package: "p", Name: "BenchmarkB", NsPerOp: 50},
+		{Package: "p", Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: 7, HasMem: true},
+		{Package: "p", Name: "BenchmarkB", NsPerOp: 70},
+		{Package: "p", Name: "BenchmarkA", NsPerOp: 900, AllocsPerOp: 7, HasMem: true},
+	}}
+	fold(doc, median)
+	if len(doc.Benchmarks) != 2 {
+		t.Fatalf("folded to %d rows, want 2: %+v", len(doc.Benchmarks), doc.Benchmarks)
+	}
+	if a := doc.Benchmarks[0]; a.Name != "BenchmarkA" || a.NsPerOp != 300 || a.AllocsPerOp != 7 || !a.HasMem {
+		t.Errorf("odd-count median row = %+v, want BenchmarkA at 300 ns/op with its memory columns", a)
+	}
+	if b := doc.Benchmarks[1]; b.Name != "BenchmarkB" || b.NsPerOp != 60 {
+		t.Errorf("even-count median row = %+v, want BenchmarkB at 60 ns/op", b)
 	}
 }

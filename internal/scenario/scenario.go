@@ -644,9 +644,9 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	// The invariant sweep and the telemetry sampler share the kernel's
-	// post-event hook, inside each event's panic-context wrapper: a
-	// Panic-mode breach is re-raised as a sim.EventPanic naming the event
-	// that exposed it.
+	// post-event hook, which counts as part of its event for panic
+	// context: a Panic-mode breach is re-raised as a sim.EventPanic naming
+	// the event that exposed it.
 	switch {
 	case s.invEng != nil && s.sampler != nil:
 		s.sched.SetEventHook(func(now sim.Time, seq uint64, label string) {

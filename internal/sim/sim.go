@@ -5,6 +5,13 @@
 // the same instant fire in the order they were scheduled, which makes every
 // simulation run reproducible from its inputs alone.
 //
+// The queue is two binary heaps under that one order: events due within
+// nearWindow of the clock when scheduled go to the near heap, all others to
+// the far heap, and the kernel always fires the earlier of the two heads.
+// Sleep-heavy runs keep one far timer per dozing node while the few awake
+// nodes churn events milliseconds ahead; the split keeps that churn from
+// sifting past the far timers on every push and pop.
+//
 // The kernel is intentionally single-threaded: all events run on the
 // goroutine that calls Run. Parallelism in this repository lives one level
 // up, in the sweep harness, which runs many independent kernels at once.
@@ -49,9 +56,10 @@ type Event struct {
 	fn       func()
 	fnArg    func(any) // set instead of fn for PostArg events
 	arg      any
-	index    int // position in the heap, -1 once fired or cancelled
+	index    int // position in its heap, -1 once fired or cancelled
 	labels   string
 	poolable bool // true for PostArg events: recycled after firing
+	far      bool // which heap holds the event while it is pending
 }
 
 // At returns the virtual time this event is scheduled to fire at.
@@ -105,7 +113,8 @@ func (p *EventPanic) Unwrap() error {
 // Scheduler owns the virtual clock and the pending-event queue.
 // The zero value is a valid scheduler positioned at time 0.
 type Scheduler struct {
-	queue     eventHeap
+	near      eventHeap // events due within nearWindow of the clock when pushed
+	far       eventHeap // every other pending event
 	now       Time
 	seq       uint64
 	fired     uint64
@@ -118,7 +127,21 @@ type Scheduler struct {
 	cancel          func() bool // cooperative cancellation probe (see SetCancel)
 	probe           func()      // progress probe sharing the cancel stride (see SetProbe)
 	cancelCountdown int         // events until the next probe call
+
+	// The firing event's identity, recorded before its callback runs so
+	// the one deferred recover in Run or Step can attach it to a panic.
+	inEvent  bool
+	curAt    Time
+	curSeq   uint64
+	curLabel string
 }
+
+// nearWindow is how far ahead of the clock an event may be scheduled and
+// still go to the near heap. MAC and radio timers land 2–6.5 ms ahead;
+// sleep and traffic timers seconds ahead. Any window between ~10 ms and
+// ~100 ms separates the two populations equally well. The window only
+// decides which heap holds an event, never when it fires.
+const nearWindow Duration = 0.05
 
 // CancelStride is how many events fire between calls to the cancellation
 // probe. Probes are typically wall-clock checks (time.Now per call), so
@@ -162,10 +185,49 @@ func (s *Scheduler) CountElided(n uint64) { s.elided += n }
 // second result is false when the queue is empty. Peeking does not disturb
 // the queue; checkpoint stepping uses it to stop at the horizon.
 func (s *Scheduler) NextEventTime() (Time, bool) {
-	if len(s.queue) == 0 {
+	h := s.head()
+	if h == nil {
 		return 0, false
 	}
-	return s.queue[0].at, true
+	return (*h)[0].at, true
+}
+
+// head returns the heap whose minimum fires next, or nil when both are
+// empty. Each heap pops in (time, seq) order and the earlier head wins, so
+// the firing order is the one strict total order whichever heap holds an
+// event.
+func (s *Scheduler) head() *eventHeap {
+	if len(s.near) == 0 {
+		if len(s.far) == 0 {
+			return nil
+		}
+		return &s.far
+	}
+	if len(s.far) == 0 || before(s.near[0], s.far[0]) {
+		return &s.near
+	}
+	return &s.far
+}
+
+// push files e into the near or far heap by how far ahead of the clock it
+// is due.
+func (s *Scheduler) push(e *Event) {
+	if e.at-s.now < nearWindow {
+		e.far = false
+		s.near.push(e)
+	} else {
+		e.far = true
+		s.far.push(e)
+	}
+}
+
+// unlink removes a pending e from the heap that holds it.
+func (s *Scheduler) unlink(e *Event) {
+	if e.far {
+		s.far.remove(e.index)
+	} else {
+		s.near.remove(e.index)
+	}
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -180,7 +242,7 @@ func (s *Scheduler) At(t Time, fn func()) (*Event, error) {
 	e := &Event{at: t, seq: s.seq, fn: fn}
 	s.seq++
 	s.scheduled++
-	s.queue.push(e)
+	s.push(e)
 	return e, nil
 }
 
@@ -222,7 +284,7 @@ func (s *Scheduler) PostArg(d Duration, label string, fn func(any), arg any) {
 	e.fnArg = fn
 	e.arg = arg
 	s.scheduled++
-	s.queue.push(e)
+	s.push(e)
 }
 
 // pooled takes an Event from the free list (or allocates the pool's first
@@ -274,7 +336,7 @@ func (s *Scheduler) Reschedule(e *Event, d Duration, label string, fn func()) *E
 		d = 0
 	}
 	if e.index >= 0 {
-		s.queue.remove(e.index)
+		s.unlink(e)
 	}
 	e.at = s.now + d
 	e.seq = s.seq
@@ -284,7 +346,7 @@ func (s *Scheduler) Reschedule(e *Event, d Duration, label string, fn func()) *E
 	e.fnArg = nil
 	e.arg = nil
 	e.labels = label
-	s.queue.push(e)
+	s.push(e)
 	return e
 }
 
@@ -309,7 +371,7 @@ func (s *Scheduler) RescheduleAt(e *Event, t Time, label string, fn func()) (*Ev
 		return nil, errors.New("sim: nil event func")
 	}
 	if e.index >= 0 {
-		s.queue.remove(e.index)
+		s.unlink(e)
 	}
 	e.at = t
 	e.seq = s.seq
@@ -319,7 +381,7 @@ func (s *Scheduler) RescheduleAt(e *Event, t Time, label string, fn func()) (*Ev
 	e.fnArg = nil
 	e.arg = nil
 	e.labels = label
-	s.queue.push(e)
+	s.push(e)
 	return e, nil
 }
 
@@ -344,7 +406,7 @@ func (s *Scheduler) AtIsolated(t Time, label string, fn func()) (*Event, error) 
 	}
 	e := &Event{at: t, seq: s.isoSeq, labels: label, fn: fn}
 	s.isoSeq++
-	s.queue.push(e)
+	s.push(e)
 	return e, nil
 }
 
@@ -383,7 +445,7 @@ func (s *Scheduler) InjectAt(ref *EventRef, fn func()) (*Event, error) {
 		return nil, fmt.Errorf("sim: inject at %v before now %v", ref.At, s.now)
 	}
 	e := &Event{at: ref.At, seq: ref.Seq, labels: ref.Label, fn: fn}
-	s.queue.push(e)
+	s.push(e)
 	return e, nil
 }
 
@@ -414,15 +476,8 @@ func (s *Scheduler) ExportState() KernelState {
 // handles. The free list survives (pooled events are never pending at a
 // quiescent snapshot).
 func (s *Scheduler) ResetForRestore(st KernelState) {
-	for _, e := range s.queue {
-		if e != nil {
-			e.index = -1
-			e.fn = nil
-			e.fnArg = nil
-			e.arg = nil
-		}
-	}
-	s.queue = s.queue[:0]
+	s.near.drain()
+	s.far.drain()
 	s.now = st.Now
 	s.seq = st.Seq
 	s.isoSeq = st.IsoSeq
@@ -437,7 +492,7 @@ func (s *Scheduler) Cancel(e *Event) {
 	if e == nil || e.index < 0 {
 		return
 	}
-	s.queue.remove(e.index)
+	s.unlink(e)
 	e.index = -1
 	e.fn = nil
 }
@@ -501,13 +556,13 @@ func (s *Scheduler) Progress() Progress {
 		Fired:     s.fired,
 		Scheduled: s.scheduled,
 		Elided:    s.elided,
-		Pending:   len(s.queue),
+		Pending:   len(s.near) + len(s.far),
 	}
 }
 
 // SetEventHook registers fn to run after every fired event, with the
 // event's virtual time, sequence number, and label. A nil fn clears the
-// hook. The hook runs inside the event's panic-context wrapper, so a
+// hook. The hook counts as part of the event for panic context, so a
 // panicking hook (e.g. an invariant engine in panic mode) is also re-raised
 // as an EventPanic carrying the event that exposed the breach.
 func (s *Scheduler) SetEventHook(fn func(now Time, seq uint64, label string)) {
@@ -517,34 +572,24 @@ func (s *Scheduler) SetEventHook(fn func(now Time, seq uint64, label string)) {
 // Step fires the single earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was fired.
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
+	h := s.head()
+	if h == nil {
 		return false
 	}
-	e := s.queue.popMin()
-	s.now = e.at
-	s.fired++
-	s.dispatch(e)
-	if e.poolable {
-		s.release(e)
-	}
+	defer s.wrapPanic()
+	s.fire(h.popMin())
 	return true
 }
 
-// dispatch runs one event callback (and the post-event hook) with panic
-// context attached: a panic escaping either is re-raised as an *EventPanic
-// identifying the event by virtual time, sequence number, and label.
-// Already-wrapped panics pass through untouched. The identity is read
-// before the callback runs: a callback may Reschedule its own fired handle.
-func (s *Scheduler) dispatch(e *Event) {
-	at, seq, label := e.at, e.seq, e.labels
-	defer func() {
-		if r := recover(); r != nil {
-			if _, wrapped := r.(*EventPanic); wrapped {
-				panic(r)
-			}
-			panic(&EventPanic{Time: at, Seq: seq, Label: label, Value: r})
-		}
-	}()
+// fire runs one popped event's callback and the post-event hook. The
+// event's identity is recorded before the callback runs (a callback may
+// Reschedule its own fired handle) so that wrapPanic, deferred once by the
+// Run or Step driving the loop, can name the event a panic escaped from.
+func (s *Scheduler) fire(e *Event) {
+	s.now = e.at
+	s.fired++
+	s.curAt, s.curSeq, s.curLabel = e.at, e.seq, e.labels
+	s.inEvent = true
 	if e.fnArg != nil {
 		fn, arg := e.fnArg, e.arg
 		e.fnArg = nil
@@ -556,8 +601,32 @@ func (s *Scheduler) dispatch(e *Event) {
 		fn()
 	}
 	if s.onEvent != nil {
-		s.onEvent(s.now, seq, label)
+		s.onEvent(s.now, s.curSeq, s.curLabel)
 	}
+	s.inEvent = false
+	if e.poolable {
+		s.release(e)
+	}
+}
+
+// wrapPanic re-raises a panic escaping an event callback or the post-event
+// hook as an *EventPanic identifying the event by virtual time, sequence
+// number, and label. Already-wrapped panics pass through untouched. A panic
+// raised between events (by the cancellation or progress probe) is not
+// recovered at all, so it surfaces exactly as raised.
+func (s *Scheduler) wrapPanic() {
+	if !s.inEvent {
+		return
+	}
+	s.inEvent = false
+	r := recover()
+	if r == nil {
+		return // runtime.Goexit inside a callback
+	}
+	if _, wrapped := r.(*EventPanic); wrapped {
+		panic(r)
+	}
+	panic(&EventPanic{Time: s.curAt, Seq: s.curSeq, Label: s.curLabel, Value: r})
 }
 
 // Run executes events in order until the queue drains, the clock would pass
@@ -565,15 +634,16 @@ func (s *Scheduler) dispatch(e *Event) {
 // min(horizon, last event time). It returns ErrCancelled if cancelled, nil
 // otherwise.
 func (s *Scheduler) Run(horizon Time) error {
-	for len(s.queue) > 0 {
+	defer s.wrapPanic()
+	for len(s.near)+len(s.far) > 0 {
 		if s.Cancelled() {
 			return ErrCancelled
 		}
-		next := s.queue[0].at
-		if next > horizon {
+		h := s.head()
+		if (*h)[0].at > horizon {
 			break
 		}
-		s.Step()
+		s.fire(h.popMin())
 	}
 	if s.now < horizon && horizon < Infinity {
 		s.now = horizon
@@ -581,12 +651,14 @@ func (s *Scheduler) Run(horizon Time) error {
 	return nil
 }
 
-// eventHeap is a hand-rolled binary min-heap ordered by (time, seq). The
-// ordering is a strict total order (sequence numbers are unique), so any
-// correct min-heap pops events in exactly the same order — replacing
-// container/heap changes performance, never behavior. The sift routines are
-// hole-based (shift, then place once) with the comparison inlined, which
-// is the scheduler's single hottest path at scale.
+// eventHeap is a hand-rolled binary min-heap ordered by (time, seq); the
+// scheduler keeps two of them, near and far. The ordering is a strict total
+// order (sequence numbers are unique), so any correct min-heap pops events
+// in exactly the same order, and so does taking the earlier head of two
+// heaps — how events are split between heaps changes performance, never
+// behavior. The sift routines are hole-based (shift, then place once) with
+// the comparison inlined, which is the scheduler's single hottest path at
+// scale.
 type eventHeap []*Event
 
 // before reports whether a must fire before b.
@@ -616,6 +688,19 @@ func (h *eventHeap) popMin() *Event {
 	}
 	e.index = -1
 	return e
+}
+
+// drain empties the heap, leaving every dropped event !Pending and without
+// its callback, exactly as if cancelled.
+func (h *eventHeap) drain() {
+	for i, e := range *h {
+		e.index = -1
+		e.fn = nil
+		e.fnArg = nil
+		e.arg = nil
+		(*h)[i] = nil
+	}
+	*h = (*h)[:0]
 }
 
 // remove deletes the event at heap position i (for Cancel/Reschedule). The

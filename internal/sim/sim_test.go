@@ -417,6 +417,39 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerSleepHeavy prices the kernel in the shape the paper's
+// sleep–wakeup schemes give it: 80 dozing nodes each hold one timer re-armed
+// 1–3.5 s ahead, while one awake node's MAC churns events 2–6.5 ms ahead,
+// so ~85% of pushes land near the clock (the proportions of a 40-sensor
+// OPT service job). One op is one fired event.
+func BenchmarkSchedulerSleepHeavy(b *testing.B) {
+	s := NewScheduler()
+	lcg := uint32(1)
+	farDelay := func() Duration {
+		lcg = lcg*1664525 + 1013904223
+		return 1 + 2.5*float64(lcg>>8)/(1<<24)
+	}
+	for i := 0; i < 80; i++ {
+		var ev *Event
+		var rearm func()
+		rearm = func() { ev = s.Reschedule(ev, farDelay(), "wake", rearm) }
+		ev = s.AfterLabeled(farDelay(), "wake", rearm)
+	}
+	nearDelays := [...]Duration{0.005, 0.0065, 0.002, 0.006, 0.005, 0.0045}
+	k := 0
+	var churn func(any)
+	churn = func(any) {
+		k++
+		s.PostArg(nearDelays[k%len(nearDelays)], "frame-end", churn, nil)
+	}
+	s.PostArg(0, "frame-end", churn, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 func TestEventHookFiresAfterEachEvent(t *testing.T) {
 	s := NewScheduler()
 	type rec struct {
@@ -478,4 +511,62 @@ func TestEventHookPanicIsWrapped(t *testing.T) {
 		}
 	}()
 	_ = s.Run(10)
+}
+
+// TestProbePanicIsNotWrapped checks a panic raised between events by the
+// cancellation or progress probe surfaces from Run exactly as raised: it
+// belongs to no event, so Run's deferred recover must leave it alone.
+func TestProbePanicIsNotWrapped(t *testing.T) {
+	for _, arm := range []string{"cancel", "progress"} {
+		t.Run(arm, func(t *testing.T) {
+			s := NewScheduler()
+			for i := 0; i < 3*CancelStride; i++ {
+				s.AfterLabeled(float64(i), "tick", func() {})
+			}
+			calls := 0
+			probe := func() {
+				if calls++; calls == 2 {
+					panic("probe says no")
+				}
+			}
+			if arm == "cancel" {
+				s.SetCancel(func() bool { probe(); return false })
+			} else {
+				s.SetProbe(probe)
+			}
+			defer func() {
+				if r := recover(); r != any("probe says no") {
+					t.Fatalf("recovered %#v, want the probe's own value", r)
+				}
+				if s.Fired() != CancelStride {
+					t.Fatalf("fired %d events before the probe panic, want %d", s.Fired(), CancelStride)
+				}
+			}()
+			_ = s.Run(Infinity)
+		})
+	}
+}
+
+// TestStepPanicCarriesEventContext checks a panic inside a Step-driven
+// loop is wrapped with the context of the event that raised it, not of an
+// earlier or later one, and that the scheduler stays usable afterwards.
+func TestStepPanicCarriesEventContext(t *testing.T) {
+	s := NewScheduler()
+	s.AfterLabeled(1, "fine", func() {})
+	s.AfterLabeled(2, "doomed", func() { panic("boom") })
+	s.AfterLabeled(3, "later", func() {})
+	var ep *EventPanic
+	func() {
+		defer func() { ep, _ = recover().(*EventPanic) }()
+		for s.Step() {
+		}
+	}()
+	if ep == nil || ep.Time != 2 || ep.Seq != 1 || ep.Label != "doomed" || ep.Value != any("boom") {
+		t.Fatalf("recovered %+v, want t=2 seq=1 label=doomed value=boom", ep)
+	}
+	// The loop resumes: the remaining event fires, and a probe panic
+	// afterwards is no longer mistaken for the failed event's.
+	if !s.Step() || s.Now() != 3 || s.Step() {
+		t.Fatalf("after the panic: now=%v fired=%d", s.Now(), s.Fired())
+	}
 }
