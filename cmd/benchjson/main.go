@@ -20,8 +20,9 @@
 // increase beyond -alloc-tol (default 25% each), or an events/run increase
 // beyond -events-tol (default 10%; the scenario scale benchmarks report
 // this custom metric), is a regression and the exit status is nonzero.
-// Under -diff, repeated runs of a benchmark fold to their median ns/op on
-// both sides; otherwise to their fastest run (see coalesce).
+// Under -diff and the -speedup assertions, repeated runs of a benchmark
+// fold to their median ns/op; the plain JSON conversion keeps each
+// benchmark's fastest run (see coalesce).
 // With the -speedup flags, the named slow benchmark must be at least
 // -speedup-min times the ns/op of the fast one.
 package main
@@ -181,7 +182,6 @@ func main() {
 	}
 	if *speedupMin > 0 || *speedupMax > 0 || *speedupEventsMin > 0 {
 		checked = true
-		coalesce(doc)
 		rows, ok := speedup(doc, *speedupSlow, *speedupFast, *speedupMin, *speedupMax, *speedupEventsMin)
 		for _, row := range rows {
 			fmt.Println(row)
@@ -276,12 +276,11 @@ func parse(r io.Reader) (*Document, error) {
 // coalesce folds duplicate benchmark rows — `go test -count=N` emits one
 // line per run — into a single best-of-N row per (package, name), keeping
 // the run with the lowest ns/op. Noise on a shared runner only ever adds
-// time, so the fastest run is the least-contaminated measurement; this is
-// what makes tight overhead ceilings (-speedup-max 1.01) assertable with
-// -count > 1. The deterministic columns (allocs/op, events/run) are
-// identical across runs, so keeping the fastest row loses nothing. Rows
-// from an explicit -cpu sweep are distinct identities (see key) and are
-// never folded into each other.
+// time, so the fastest run is the least-contaminated single measurement
+// for a stored baseline. The deterministic columns (allocs/op, events/run)
+// are identical across runs, so keeping the fastest row loses nothing.
+// Rows from an explicit -cpu sweep are distinct identities (see key) and
+// are never folded into each other.
 func coalesce(doc *Document) { fold(doc, fastest) }
 
 // fold replaces each group of duplicate rows (same key, first occurrence's
@@ -462,8 +461,12 @@ func frac(new_, old float64) float64 {
 // the ns/op of the one named fast (names match ignoring package), at most
 // max times when max > 0 (an overhead ceiling: "the probe arm may cost no
 // more than 1% over the control arm" is max = 1.01), and — when eventsMin
-// > 0 — fired at least eventsMin times the events/run.
+// > 0 — fired at least eventsMin times the events/run. Repeated runs fold
+// to their median first: a ratio of two best-of-N picks follows whichever
+// process was luckiest, while medians over runs spread across alternating
+// processes move only with the code (make bench-progress).
 func speedup(doc *Document, slow, fast string, min, max, eventsMin float64) (rows []string, ok bool) {
+	fold(doc, median)
 	find := func(name string) (Benchmark, bool) {
 		for _, b := range doc.Benchmarks {
 			if b.Name == name {

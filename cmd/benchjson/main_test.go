@@ -349,6 +349,29 @@ func TestSpeedupOverheadCeiling(t *testing.T) {
 	}
 }
 
+// TestSpeedupFoldsByMedian pins the fold the -speedup assertions use:
+// repeated runs of each arm reduce to their median, so one lucky run of
+// the probe arm cannot pass the ceiling and one slow run cannot fail it.
+func TestSpeedupFoldsByMedian(t *testing.T) {
+	doc := &Document{Benchmarks: []Benchmark{
+		{Package: "p", Name: "BenchmarkRunNoTelemetry", NsPerOp: 1000},
+		{Package: "p", Name: "BenchmarkRunProgress", NsPerOp: 900},
+		{Package: "p", Name: "BenchmarkRunProgress", NsPerOp: 1050},
+		{Package: "p", Name: "BenchmarkRunNoTelemetry", NsPerOp: 1300},
+		{Package: "p", Name: "BenchmarkRunNoTelemetry", NsPerOp: 1010},
+		{Package: "p", Name: "BenchmarkRunProgress", NsPerOp: 1040},
+	}}
+	// Medians 1040 / 1010 = 1.0297: over a 1% ceiling, although the
+	// fastest runs (900 / 1000) would read 0.90.
+	rows, ok := speedup(doc, "BenchmarkRunProgress", "BenchmarkRunNoTelemetry", 0, 1.01, 0)
+	if ok {
+		t.Fatalf("median overhead of 3%% passed a 1%% ceiling: %v", rows)
+	}
+	if want := "1.0297x"; len(rows) != 1 || !strings.Contains(rows[0], want) {
+		t.Fatalf("rows = %v, want one row with ratio %s", rows, want)
+	}
+}
+
 func TestSpeedupEventsAssertion(t *testing.T) {
 	doc := &Document{Benchmarks: []Benchmark{
 		{Package: "p", Name: "BenchmarkEager", NsPerOp: 10000, EventsPerRun: 60000, HasEvents: true},

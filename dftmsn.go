@@ -217,25 +217,6 @@ func RestoreSim(snap *Snapshot, customize ...func(*Config)) (*Sim, error) {
 	return scenario.Restore(snap, customize...)
 }
 
-// RestoreSimForPlan rebuilds a simulation from a snapshot with a different
-// fault plan substituted — the instant chaos reproducer: the fault-free
-// prefix is skipped and the continuation is bit-identical to a from-scratch
-// run under the new plan.
-func RestoreSimForPlan(snap *Snapshot, plan *FaultPlan, customize ...func(*Config)) (*Sim, error) {
-	return scenario.RestoreForPlan(snap, plan, customize...)
-}
-
-// FaultFuture is one candidate fault plan's outcome from EvalFaultFutures.
-type FaultFuture = sweep.FaultFuture
-
-// EvalFaultFutures evaluates candidate fault plans against the base
-// scenario in parallel, warm-forking each from a single checkpoint taken at
-// checkpointAt seconds; plans the checkpoint cannot serve fall back to cold
-// from-scratch runs, so every result is the true full-run outcome.
-func EvalFaultFutures(base Config, checkpointAt float64, plans []*FaultPlan, workers int) ([]FaultFuture, error) {
-	return sweep.EvalFaultFutures(base, checkpointAt, plans, workers)
-}
-
 // Sweep harness re-exports: define an Experiment (or use a predefined one)
 // and call its Run method to get an averaged Table.
 type (

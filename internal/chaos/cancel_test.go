@@ -75,8 +75,8 @@ func TestCancelledCampaignResumesToSameVerdicts(t *testing.T) {
 }
 
 // TestShrinkTotalBudgetTruncates pins that an expired total budget stops
-// the minimization immediately and surfaces as Truncated in stats and in
-// the text report.
+// the minimization immediately and surfaces as FailureReport.Truncated and
+// in the text report.
 func TestShrinkTotalBudgetTruncates(t *testing.T) {
 	c := failingCampaign()
 	c.ShrinkTotalBudget = time.Nanosecond
@@ -88,11 +88,11 @@ func TestShrinkTotalBudgetTruncates(t *testing.T) {
 	if m == nil {
 		t.Fatal("no minimized report despite a guaranteed failure")
 	}
-	if !m.Shrink.Truncated {
+	if !m.Truncated {
 		t.Fatal("expired total budget did not mark the shrink truncated")
 	}
-	if m.Shrink.Candidates != 0 {
-		t.Fatalf("expired total budget still ran %d candidates, want 0", m.Shrink.Candidates)
+	if m.ShrinkRuns != 0 {
+		t.Fatalf("expired total budget still ran %d candidates, want 0", m.ShrinkRuns)
 	}
 	// The untouched plan must still be reported, with its full clause set.
 	if m.Clauses != ClauseCount(m.Failure.Plan) {
@@ -118,7 +118,7 @@ func TestShrinkCandidateBudgetTruncates(t *testing.T) {
 	if m == nil {
 		t.Fatal("no minimized report despite a guaranteed failure")
 	}
-	if !m.Shrink.Truncated {
+	if !m.Truncated {
 		t.Fatal("over-budget candidates did not mark the shrink truncated")
 	}
 	if m.Clauses != ClauseCount(m.Failure.Plan) {
@@ -134,7 +134,7 @@ func TestShrinkUnbudgetedNotTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Minimized == nil || sum.Minimized.Shrink.Truncated {
+	if sum.Minimized == nil || sum.Minimized.Truncated {
 		t.Fatalf("unbudgeted shrink reported truncated: %+v", sum.Minimized)
 	}
 }

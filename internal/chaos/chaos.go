@@ -28,7 +28,6 @@ import (
 	"dftmsn/internal/scenario"
 	"dftmsn/internal/sim"
 	"dftmsn/internal/simrand"
-	"dftmsn/internal/snapshot"
 	"dftmsn/internal/sweep"
 )
 
@@ -91,15 +90,12 @@ type Campaign struct {
 	// ShrinkTotalBudget bounds the wall-clock time of the whole
 	// minimization; when it expires the shrink stops where it stands
 	// (0 disables the bound). Either budget biting sets
-	// ShrinkStats.Truncated.
+	// FailureReport.Truncated.
 	ShrinkTotalBudget time.Duration
 
 	// testHookBeforeRun, when set, runs in the worker before each
 	// simulation — tests use it to inject worker panics.
 	testHookBeforeRun func(i int)
-	// noWarmShrink forces every shrink candidate onto a cold from-scratch
-	// run — tests use it to pin warm/cold shrink equivalence.
-	noWarmShrink bool
 }
 
 // Failure is one failing campaign run.
@@ -131,31 +127,13 @@ type FailureReport struct {
 	Clauses int
 	// ShrinkRuns is how many reruns the minimization spent.
 	ShrinkRuns int
-	// Shrink accounts the minimization work: how many candidate reruns were
-	// served from the warm checkpoint and how much virtual time the whole
-	// minimization re-simulated.
-	Shrink ShrinkStats
-	// Command is a ready-to-run dftsim invocation reproducing the
-	// minimized failure.
-	Command string
-}
-
-// ShrinkStats accounts the simulation work a minimization spent. With the
-// warm checkpoint in play, VirtualSeconds stays well below Candidates ×
-// horizon: each reused candidate re-simulates only the span from the
-// checkpoint to the horizon instead of the whole run.
-type ShrinkStats struct {
-	// Candidates is the number of clause-subset reruns attempted.
-	Candidates int
-	// Reused is how many of them restarted from the warm checkpoint.
-	Reused int
-	// VirtualSeconds is the total virtual time re-simulated, including the
-	// one-off cost of building the checkpoint itself.
-	VirtualSeconds float64
 	// Truncated reports that a wall-clock shrink budget (or a campaign
 	// cancellation) cut the minimization short: the reported plan still
 	// fails, but it is no longer guaranteed to be 1-minimal.
 	Truncated bool
+	// Command is a ready-to-run dftsim invocation reproducing the
+	// minimized failure.
+	Command string
 }
 
 // Summary digests a whole campaign.
@@ -609,15 +587,9 @@ func ClauseCount(p faults.Plan) int { return len(clausesOf(p)) }
 // rerun under the same seed, and keep the drop if the run still fails.
 // Iterated to a fixed point within the rerun budget, this finds a
 // 1-minimal failing subset (removing any single remaining clause makes
-// the failure disappear).
-//
-// Every candidate shares the failing run's fault-free prefix, so shrink
-// checkpoints that prefix once, shortly before the plan's first discrete
-// fault, and warm-restores each candidate from there — re-simulating only
-// the faulted tail instead of the whole horizon. Candidates the checkpoint
-// cannot serve (a dropped burst clause changes the channel state baked into
-// it) fall back to cold from-scratch runs; either way the verdicts are
-// bit-identical to cold shrinking.
+// the failure disappear). Each candidate is a whole from-scratch run, the
+// same runOnce the campaign executes, so its verdict is the one replaying
+// the reported command gives.
 func (c Campaign) shrink(f Failure) FailureReport {
 	report := FailureReport{Failure: f, Minimized: f.Plan}
 	var totalDeadline time.Time
@@ -630,25 +602,24 @@ func (c Campaign) shrink(f Failure) FailureReport {
 		}
 		return c.Cancel != nil && c.Cancel()
 	}
-	warm := c.warmCheckpoint(f, &report.Shrink, c.candidateProbe(totalDeadline))
 	keep := clausesOf(f.Plan)
 loop:
 	for changed := true; changed && report.ShrinkRuns < c.MaxShrinkRuns; {
 		changed = false
 		for i := 0; i < len(keep) && report.ShrinkRuns < c.MaxShrinkRuns; i++ {
 			if overTotal() {
-				report.Shrink.Truncated = true
+				report.Truncated = true
 				break loop
 			}
 			cand := append(append([]clause(nil), keep[:i]...), keep[i+1:]...)
 			plan := buildPlan(f.Plan, cand)
-			res, err := c.runCandidate(f.Seed, plan, warm, &report.Shrink, c.candidateProbe(totalDeadline))
+			res, err := c.runOnce(f.Seed, plan, c.candidateProbe(totalDeadline))
 			report.ShrinkRuns++
 			if errors.Is(err, sim.ErrCancelled) {
 				// The candidate ran over its wall-clock budget; keep its
 				// clause (the conservative verdict) and note the result may
 				// not be 1-minimal.
-				report.Shrink.Truncated = true
+				report.Truncated = true
 				continue
 			}
 			if _, _, failed := c.judge(res, err, plan); failed {
@@ -687,74 +658,6 @@ func (c Campaign) candidateProbe(totalDeadline time.Time) func() bool {
 		}
 		return c.Cancel != nil && c.Cancel()
 	}
-}
-
-// warmShrinkState is the shared checkpoint shrink candidates restart from:
-// the encoded snapshot (decoded per candidate so restores share no mutable
-// state) and its instant.
-type warmShrinkState struct {
-	blob []byte
-	time float64
-}
-
-// warmCheckpoint simulates the failing run's fault-free prefix — the base
-// config under the failing seed, keeping only the plan's burst clause — to
-// 80% of the way to the first discrete fault and snapshots there. Returns
-// nil (cold shrinking) when the plan has no discrete faults to stop before,
-// or when no quiescent instant lands strictly before the first fault.
-func (c Campaign) warmCheckpoint(f Failure, stats *ShrinkStats, cancel func() bool) *warmShrinkState {
-	if c.noWarmShrink {
-		return nil
-	}
-	ff, ok := (&f.Plan).FirstFaultSeconds()
-	if !ok || ff <= 0 {
-		return nil
-	}
-	cfg := c.Base
-	cfg.Seed = f.Seed
-	cfg.Cancel = cancel
-	cfg.Faults = nil
-	if f.Plan.Burst != nil {
-		cfg.Faults = &faults.Plan{Burst: f.Plan.Burst}
-	}
-	s, err := scenario.New(cfg)
-	if err != nil {
-		return nil
-	}
-	snap, err := s.CheckpointAt(0.8 * ff)
-	if err != nil || snap.Time >= ff {
-		return nil
-	}
-	blob, err := snapshot.EncodeBytes(snap)
-	if err != nil {
-		return nil
-	}
-	stats.VirtualSeconds += snap.Time // the one-off cost of building it
-	return &warmShrinkState{blob: blob, time: snap.Time}
-}
-
-// runCandidate executes one shrink candidate, warm from the checkpoint when
-// it admits the plan and cold otherwise, accounting the virtual time spent.
-func (c Campaign) runCandidate(seed uint64, plan faults.Plan, warm *warmShrinkState, stats *ShrinkStats, cancel func() bool) (scenario.Result, error) {
-	stats.Candidates++
-	if warm != nil {
-		if snap, err := snapshot.DecodeBytes(warm.blob); err == nil {
-			var p *faults.Plan
-			if plan.Enabled() {
-				pp := plan
-				p = &pp
-			}
-			// The probe is runtime-only config (never encoded), so
-			// reattaching it here cannot perturb the restored run.
-			if s, err := scenario.RestoreForPlan(snap, p, func(cfg *scenario.Config) { cfg.Cancel = cancel }); err == nil {
-				stats.Reused++
-				stats.VirtualSeconds += c.Base.DurationSeconds - warm.time
-				return s.Run()
-			}
-		}
-	}
-	stats.VirtualSeconds += c.Base.DurationSeconds
-	return c.runOnce(seed, plan, cancel)
 }
 
 // command renders a ready-to-run dftsim invocation reproducing a failing
@@ -859,9 +762,7 @@ func (s Summary) Format() string {
 	if m := s.Minimized; m != nil {
 		fmt.Fprintf(&b, "minimized         run %d shrunk to %d fault clauses in %d reruns\n",
 			m.RunIndex, m.Clauses, m.ShrinkRuns)
-		fmt.Fprintf(&b, "shrink work       %d of %d candidates warm-restored, %.0f virtual s re-simulated\n",
-			m.Shrink.Reused, m.Shrink.Candidates, m.Shrink.VirtualSeconds)
-		if m.Shrink.Truncated {
+		if m.Truncated {
 			fmt.Fprintf(&b, "shrink truncated  wall-clock budget expired; the plan may not be 1-minimal\n")
 		}
 		fmt.Fprintf(&b, "reproduce with    %s\n", m.Command)

@@ -193,93 +193,6 @@ func TestShrinkFindsMinimalClauseSubset(t *testing.T) {
 	}
 }
 
-// lateFaultPlan is a plan whose first discrete fault is late enough for a
-// warm checkpoint to pay off (burst loss may start immediately; it is baked
-// into the checkpoint).
-func lateFaultPlan() faults.Plan {
-	return faults.Plan{
-		Churn:       &faults.Churn{StartSeconds: 250, MTBFSeconds: 150, MTTRSeconds: 30, Fraction: 0.3},
-		SinkOutages: []faults.Outage{{Sink: 0, StartSeconds: 280, DurationSeconds: 60}},
-		Kills:       []faults.Kill{{AtSeconds: 300, Fraction: 0.2}},
-		Burst:       &faults.Burst{GoodLossProb: 0.01, BadLossProb: 0.5, MeanGoodSeconds: 40, MeanBadSeconds: 10},
-	}
-}
-
-// TestShrinkCandidatesAreBitIdenticalWarmOrCold pins the shrink reuse
-// contract: every clause-subset candidate run from the warm checkpoint must
-// produce exactly the Result a cold from-scratch run produces — including
-// subsets the checkpoint cannot serve (dropped burst clause), which must
-// silently fall back to cold runs.
-func TestShrinkCandidatesAreBitIdenticalWarmOrCold(t *testing.T) {
-	c := Campaign{Base: smallBase(), MinDeliveryRatio: 1.1}.withDefaults()
-	f := Failure{Seed: 77, Plan: lateFaultPlan(), Kind: "bound"}
-	var stats ShrinkStats
-	warm := c.warmCheckpoint(f, &stats, nil)
-	if warm == nil {
-		t.Fatal("no warm checkpoint for a late-fault plan")
-	}
-	if ff, _ := (&f.Plan).FirstFaultSeconds(); warm.time >= ff {
-		t.Fatalf("checkpoint at %v s is not before the first fault at %v s", warm.time, ff)
-	}
-	cs := clausesOf(f.Plan)
-	candidates := [][]clause{cs, cs[:0], cs[0:1], cs[1:3], cs[2:4]}
-	sawWarm, sawCold := false, false
-	for i, keep := range candidates {
-		plan := buildPlan(f.Plan, keep)
-		before := stats.Reused
-		warmRes, warmErr := c.runCandidate(f.Seed, plan, warm, &stats, nil)
-		coldRes, coldErr := c.runOnce(f.Seed, plan, nil)
-		if (warmErr == nil) != (coldErr == nil) {
-			t.Fatalf("candidate %d: warm err %v, cold err %v", i, warmErr, coldErr)
-		}
-		if !reflect.DeepEqual(warmRes, coldRes) {
-			t.Errorf("candidate %d (%d clauses) diverges between warm and cold runs", i, len(keep))
-		}
-		if stats.Reused > before {
-			sawWarm = true
-		} else {
-			sawCold = true
-		}
-	}
-	if !sawWarm || !sawCold {
-		t.Fatalf("candidate set did not exercise both paths: warm=%v cold=%v", sawWarm, sawCold)
-	}
-}
-
-// TestShrinkWarmCheckpointSavesVirtualTime is the efficiency acceptance
-// check: with the warm checkpoint, a shrink re-simulates strictly less
-// virtual time than candidates × horizon, and reaches the same minimized
-// plan a cold shrink does.
-func TestShrinkWarmCheckpointSavesVirtualTime(t *testing.T) {
-	c := Campaign{Base: smallBase(), MinDeliveryRatio: 1.1}.withDefaults()
-	f := Failure{Seed: 77, Plan: lateFaultPlan(), Kind: "bound"}
-	warmRep := c.shrink(f)
-	if warmRep.Shrink.Candidates != warmRep.ShrinkRuns || warmRep.Shrink.Candidates == 0 {
-		t.Fatalf("candidate accounting off: %+v vs %d reruns", warmRep.Shrink, warmRep.ShrinkRuns)
-	}
-	if warmRep.Shrink.Reused == 0 {
-		t.Fatal("no candidate was warm-restored")
-	}
-	budget := float64(warmRep.Shrink.Candidates) * c.Base.DurationSeconds
-	if warmRep.Shrink.VirtualSeconds >= budget {
-		t.Fatalf("shrink re-simulated %.0f virtual s, not below the %.0f s cold budget",
-			warmRep.Shrink.VirtualSeconds, budget)
-	}
-
-	cold := c
-	cold.noWarmShrink = true
-	coldRep := cold.shrink(f)
-	if coldRep.Shrink.Reused != 0 {
-		t.Fatalf("cold shrink reused the checkpoint: %+v", coldRep.Shrink)
-	}
-	if !reflect.DeepEqual(warmRep.Minimized, coldRep.Minimized) ||
-		warmRep.Clauses != coldRep.Clauses || warmRep.ShrinkRuns != coldRep.ShrinkRuns {
-		t.Fatalf("warm and cold shrinking disagree:\nwarm: %+v (%d clauses, %d runs)\ncold: %+v (%d clauses, %d runs)",
-			warmRep.Minimized, warmRep.Clauses, warmRep.ShrinkRuns,
-			coldRep.Minimized, coldRep.Clauses, coldRep.ShrinkRuns)
-	}
-}
-
 // TestCampaignStateResume pins the checkpointed-campaign contract: a
 // campaign interrupted partway resumes from its state file to the exact
 // verdicts of an uninterrupted run, and a fully recorded campaign resumes

@@ -88,10 +88,9 @@ type killShot struct {
 // randomness comes from the provided source, so runs are reproducible.
 //
 // Injector events live in the scheduler's isolated sequence band
-// (AtIsolated): they do not perturb the ordinary event sequence numbers, so
-// two runs whose plans differ only in fault clauses stay bit-identical up
-// to the first fault action — the property checkpointed chaos shrinking
-// relies on.
+// (AtIsolated): they do not perturb the ordinary event sequence numbers
+// and lose same-instant ties against ordinary events, which keeps faulted
+// results stable until a per-owner tie-break replaces the band.
 type Injector struct {
 	plan    Plan
 	sched   *sim.Scheduler
@@ -108,9 +107,6 @@ type Injector struct {
 	// when its count returns to zero.
 	sinkDown []int
 	armed    bool
-	// rng0 is the stream position before any arm-time draw, so a restore
-	// can rewind and re-arm with bit-identical fault times.
-	rng0 simrand.State
 
 	chains  []*churnChain
 	outages []*outageWindow
@@ -132,7 +128,6 @@ func NewInjector(plan Plan, duration float64, sched *sim.Scheduler, rng *simrand
 		plan:     plan,
 		sched:    sched,
 		rng:      rng,
-		rng0:     rng.State(),
 		sensors:  sensors,
 		sinks:    sinks,
 		hooks:    hooks,
@@ -141,39 +136,12 @@ func NewInjector(plan Plan, duration float64, sched *sim.Scheduler, rng *simrand
 	}, nil
 }
 
-// ResetForRestore returns the injector to its just-built, unarmed state:
-// counters cleared, chains and windows dropped, the RNG rewound to its
-// pre-arm position. The scheduler queue must already have been reset (the
-// injector's pending events were dropped with it). The caller then either
-// overlays a snapshot via RestoreState or re-arms at the current instant —
-// the rewound stream makes the re-arm draw the exact fault times an arm at
-// t=0 would have.
-func (in *Injector) ResetForRestore() {
-	in.armed = false
-	in.stats = Stats{}
-	for i := range in.churned {
-		in.churned[i] = false
-	}
-	for i := range in.sinkDown {
-		in.sinkDown[i] = 0
-	}
-	in.chains = in.chains[:0]
-	in.outages = in.outages[:0]
-	in.kills = in.kills[:0]
-	in.rng.Restore(in.rng0)
-}
-
 // Stats returns a snapshot of the injector counters.
 func (in *Injector) Stats() Stats { return in.stats }
 
-// Armed reports whether Arm has run.
-func (in *Injector) Armed() bool { return in.armed }
-
 // Arm schedules every planned fault at its absolute plan time. It may be
-// called once. Arming at a nonzero current time works as long as every
-// fault time is still in the future — the checkpoint-restore path relies
-// on this to re-arm a fresh plan at the snapshot instant with the exact
-// event times an arm at t=0 would have produced.
+// called once, before any fault time has passed (scenario.New arms at
+// t=0).
 func (in *Injector) Arm() error {
 	if in.armed {
 		return errors.New("faults: injector already armed")

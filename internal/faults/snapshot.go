@@ -35,7 +35,6 @@ type KillState struct {
 // State is an Injector's complete snapshot. Chains appear in arm order
 // (the victim-selection permutation), outages and kills in plan order.
 type State struct {
-	Armed    bool
 	Stats    Stats
 	Churned  []bool
 	SinkDown []int
@@ -45,37 +44,9 @@ type State struct {
 	Kills    []KillState
 }
 
-// Pristine reports whether no fault event had fired when the snapshot was
-// taken: every churn chain still waits for its first crash, every outage
-// window its down transition, every kill its shot. Only pristine fault
-// state can be discarded when a snapshot is re-based onto a different plan
-// — anything else has already leaked into node state and event counters.
-func (st *State) Pristine() bool {
-	if st.Stats != (Stats{}) {
-		return false
-	}
-	for _, cs := range st.Chains {
-		if cs.Next != chainCrash || cs.Ev == nil {
-			return false
-		}
-	}
-	for _, os := range st.Outages {
-		if os.Down == nil {
-			return false
-		}
-	}
-	for _, ks := range st.Kills {
-		if ks.Ev == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // ExportState captures the injector for a snapshot.
 func (in *Injector) ExportState() State {
 	st := State{
-		Armed:    in.armed,
 		Stats:    in.stats,
 		Churned:  append([]bool(nil), in.churned...),
 		SinkDown: append([]int(nil), in.sinkDown...),
@@ -98,14 +69,11 @@ func (in *Injector) ExportState() State {
 	return st
 }
 
-// RestoreState overlays a snapshot onto a freshly built, unarmed injector
-// carrying the same plan, re-injecting every pending fault event at its
-// exact recorded queue position. The scheduler's queue must already have
-// been reset.
+// RestoreState replaces the injector's state with a snapshot taken under
+// the same plan, re-injecting every pending fault event at its exact
+// recorded queue position. The scheduler's queue must already have been
+// reset, dropping whatever the injector had scheduled.
 func (in *Injector) RestoreState(st State) error {
-	if in.armed {
-		return errors.New("faults: restore into an armed injector")
-	}
 	if len(st.Churned) != len(in.sensors) || len(st.SinkDown) != len(in.sinks) {
 		return fmt.Errorf("faults: snapshot covers %d sensors / %d sinks, injector has %d / %d",
 			len(st.Churned), len(st.SinkDown), len(in.sensors), len(in.sinks))
@@ -117,11 +85,13 @@ func (in *Injector) RestoreState(st State) error {
 	if len(st.Chains) > 0 && in.plan.Churn == nil {
 		return errors.New("faults: snapshot has churn chains but the plan has no churn clause")
 	}
-	in.armed = st.Armed
 	in.stats = st.Stats
 	copy(in.churned, st.Churned)
 	copy(in.sinkDown, st.SinkDown)
 	in.rng.Restore(st.RNG)
+	in.chains = in.chains[:0]
+	in.outages = in.outages[:0]
+	in.kills = in.kills[:0]
 	for _, cs := range st.Chains {
 		if cs.Victim < 0 || cs.Victim >= len(in.sensors) {
 			return fmt.Errorf("faults: snapshot churn victim %d out of range", cs.Victim)

@@ -3,9 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"reflect"
 
-	"dftmsn/internal/faults"
 	"dftmsn/internal/packet"
 	"dftmsn/internal/sim"
 	"dftmsn/internal/snapshot"
@@ -38,9 +36,6 @@ func (s *Sim) quiescent() bool {
 func (s *Sim) CheckpointAt(k float64) (*snapshot.Snapshot, error) {
 	if s.ran {
 		return nil, errors.New("scenario: simulation already ran")
-	}
-	if err := s.ensureArmed(); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	if err := s.stepUntilQuiescent(k); err != nil {
 		return nil, err
@@ -95,6 +90,7 @@ func (s *Sim) exportSnapshot() (*snapshot.Snapshot, error) {
 	}
 	snap := &snapshot.Snapshot{
 		Time:         float64(s.sched.Now()),
+		Platform:     snapshot.Platform,
 		Config:       cfgBytes,
 		Kernel:       s.sched.ExportState(),
 		MobilityTick: s.mobility.ExportState(),
@@ -150,6 +146,10 @@ func Restore(snap *snapshot.Snapshot, customize ...func(*Config)) (*Sim, error) 
 	if snap == nil {
 		return nil, errors.New("scenario: nil snapshot")
 	}
+	if snap.Platform != snapshot.Platform {
+		return nil, fmt.Errorf("scenario: snapshot was taken on %q, this build runs on %q; a continuation is bit-identical only on the same platform",
+			snap.Platform, snapshot.Platform)
+	}
 	cfg, err := DecodeConfig(snap.Config)
 	if err != nil {
 		return nil, err
@@ -161,50 +161,7 @@ func Restore(snap *snapshot.Snapshot, customize ...func(*Config)) (*Sim, error) 
 	if err != nil {
 		return nil, err
 	}
-	if err := s.restoreFrom(snap, false); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// RestoreForPlan rebuilds a simulation from a snapshot with a different
-// fault plan substituted — the instant-reproducer primitive: the common
-// prefix up to the snapshot is skipped, and the continuation is
-// bit-identical to a from-scratch run under the new plan (fault events live
-// in the scheduler's isolated sequence band, so the substitution cannot
-// perturb ordinary event order).
-//
-// Two guards keep that claim honest: the new plan must keep the snapshot's
-// burst-loss clause (the burst process is continuous channel state baked
-// into the snapshot), and both the original and the new plan's first
-// discrete fault must lie strictly after the snapshot instant.
-func RestoreForPlan(snap *snapshot.Snapshot, plan *faults.Plan, customize ...func(*Config)) (*Sim, error) {
-	if snap == nil {
-		return nil, errors.New("scenario: nil snapshot")
-	}
-	cfg, err := DecodeConfig(snap.Config)
-	if err != nil {
-		return nil, err
-	}
-	var origBurst, newBurst *faults.Burst
-	if cfg.Faults != nil {
-		origBurst = cfg.Faults.Burst
-	}
-	if plan != nil {
-		newBurst = plan.Burst
-	}
-	if !reflect.DeepEqual(origBurst, newBurst) {
-		return nil, errors.New("scenario: restored plan must keep the snapshot's burst-loss clause")
-	}
-	cfg.Faults = plan
-	for _, f := range customize {
-		f(&cfg)
-	}
-	s, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.restoreFrom(snap, true); err != nil {
+	if err := s.restoreFrom(snap); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -221,29 +178,15 @@ func (s *Sim) Fork(customize ...func(*Config)) (*Sim, error) {
 	return Restore(snap, customize...)
 }
 
-// ForkForPlan clones the simulation in memory with a different fault plan
-// substituted — the warm-start primitive sweep fault-future evaluation and
-// chaos shrinking build on. See RestoreForPlan for the guards.
-func (s *Sim) ForkForPlan(plan *faults.Plan, customize ...func(*Config)) (*Sim, error) {
-	snap, err := s.exportSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	return RestoreForPlan(snap, plan, customize...)
-}
-
-// restoreFrom overlays a snapshot onto a freshly built simulation. With
-// freshPlan the snapshot's fault progress is discarded: the isolated
-// sequence band restarts and the (new-plan) injector is left for Run or
-// CheckpointAt to arm at the snapshot instant.
-func (s *Sim) restoreFrom(snap *snapshot.Snapshot, freshPlan bool) error {
+// restoreFrom overlays a snapshot onto a freshly built simulation.
+func (s *Sim) restoreFrom(snap *snapshot.Snapshot) error {
 	if want := len(s.sinks) + len(s.sensors); len(snap.Nodes) != want {
 		return fmt.Errorf("scenario: snapshot has %d nodes, simulation has %d", len(snap.Nodes), want)
 	}
 	if len(snap.Traffic) != len(s.sensors) {
 		return fmt.Errorf("scenario: snapshot has %d traffic processes, simulation has %d sensors", len(snap.Traffic), len(s.sensors))
 	}
-	if !freshPlan && (snap.Injector != nil) != (s.injector != nil) {
+	if (snap.Injector != nil) != (s.injector != nil) {
 		return errors.New("scenario: snapshot and simulation disagree on fault injection")
 	}
 	if (snap.Invariants != nil) != (s.invEng != nil) {
@@ -257,14 +200,7 @@ func (s *Sim) restoreFrom(snap *snapshot.Snapshot, freshPlan bool) error {
 	// mobility tick, decay tickers) and overwrite the clock and counters;
 	// every pending event of the snapshotted run is then re-injected at its
 	// exact (time, seq) position by the component restores below.
-	ks := snap.Kernel
-	if freshPlan {
-		// Restart the isolated band: the fresh injector's arm at the
-		// snapshot instant allocates from the base, exactly like an arm at
-		// t=0 under the new plan would have.
-		ks.IsoSeq = 0
-	}
-	s.sched.ResetForRestore(ks)
+	s.sched.ResetForRestore(snap.Kernel)
 	s.startsPending = 0
 
 	if err := s.mobility.RestoreState(snap.MobilityTick); err != nil {
@@ -301,23 +237,11 @@ func (s *Sim) restoreFrom(snap *snapshot.Snapshot, freshPlan bool) error {
 		s.arrivalEvs[i] = ev // nil when the sensor's process had ended
 	}
 	s.nextMsgID = packet.MessageID(snap.NextMsgID)
-	if freshPlan && snap.Injector != nil && !snap.Injector.Pristine() {
-		return errors.New("scenario: snapshot was taken after a fault fired; it cannot be re-based onto a different plan")
-	}
 	if s.injector != nil {
 		// New armed the injector at construction; its events were just
-		// dropped with the queue. Rewind it, then either overlay the
-		// snapshot's fault progress or (fresh plan) re-arm at the snapshot
-		// instant — the rewound stream re-draws the exact absolute fault
-		// times an arm at t=0 would have, and any draw landing at or before
-		// the snapshot (a fault the from-scratch run would already have
-		// fired) surfaces as a schedule-in-the-past error here.
-		s.injector.ResetForRestore()
-		if freshPlan {
-			if err := s.injector.Arm(); err != nil {
-				return fmt.Errorf("scenario: new plan acts before the %v s snapshot: %w", snap.Time, err)
-			}
-		} else if err := s.injector.RestoreState(*snap.Injector); err != nil {
+		// dropped with the queue, and the snapshot's fault progress
+		// replaces the rest.
+		if err := s.injector.RestoreState(*snap.Injector); err != nil {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}

@@ -429,10 +429,7 @@ func New(cfg Config) (*Sim, error) {
 	// Loss, burst-loss and fault randomness come from auxiliary streams
 	// derived directly from the seed, not from the root split chain:
 	// enabling or disabling one of these features must not shift the
-	// streams every other component draws from. Two configurations that
-	// differ only in fault clauses therefore run bit-identically up to the
-	// first fault action — the property checkpoint reuse across fault
-	// plans (chaos shrinking, sweep warm-forks) relies on.
+	// streams every other component draws from.
 	if cfg.LossProb > 0 {
 		if err := s.medium.SetLoss(cfg.LossProb, simrand.New(cfg.Seed).Split("aux/loss")); err != nil {
 			return nil, err
@@ -862,15 +859,6 @@ func (s *Sim) progressSnapshot(now time.Time, done bool) Progress {
 	return p
 }
 
-// ensureArmed arms the fault injector if it has not been armed yet (by a
-// prior CheckpointAt, or a restore that overlaid its state).
-func (s *Sim) ensureArmed() error {
-	if s.injector != nil && !s.injector.Armed() {
-		return s.injector.Arm()
-	}
-	return nil
-}
-
 // Run executes the simulation to its configured duration and returns the
 // result digest. Run may be called once, after any CheckpointAt calls; it
 // continues from wherever the last checkpoint left the clock.
@@ -884,9 +872,6 @@ func (s *Sim) Run() (Result, error) {
 		return Result{}, fmt.Errorf("scenario: simulation already ran")
 	}
 	s.ran = true
-	if err := s.ensureArmed(); err != nil {
-		return Result{}, fmt.Errorf("scenario: %w", err)
-	}
 	cancelled := false
 	switch err := s.runScheduler(); {
 	case errors.Is(err, sim.ErrCancelled):

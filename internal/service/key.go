@@ -16,10 +16,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 
 	"dftmsn/internal/scenario"
+	"dftmsn/internal/snapshot"
 )
 
 // buildVersion identifies the running build in cache keys, so results
@@ -42,7 +42,7 @@ var buildVersion = func() string {
 	if v == "" {
 		v = "unknown"
 	}
-	return v + " " + runtime.GOARCH + " " + runtime.Version()
+	return v + " " + snapshot.Platform
 }()
 
 // BuildVersion reports the build identity mixed into every cache key.

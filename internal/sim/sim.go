@@ -387,13 +387,14 @@ func (s *Scheduler) RescheduleAt(e *Event, t Time, label string, fn func()) (*Ev
 
 // AtIsolated schedules fn at absolute time t with a sequence number from the
 // isolated band above isoSeqBase, without touching the ordinary sequence
-// counter or the scheduled total. Layers whose mere presence must not perturb
-// the rest of the run — the fault injector is the canonical user — schedule
-// through it: adding or removing isolated events leaves every ordinary
-// event's (time, seq) position and the kernel's counters bit-identical, which
-// is what lets a warm snapshot taken before the first fault be re-armed with
-// a different fault plan. Isolated events lose ties against ordinary events
-// at the same instant and fire in scheduling order among themselves.
+// counter or the scheduled total. The fault injector schedules through it, so
+// adding or removing fault events leaves every ordinary event's (time, seq)
+// position and the kernel's counters unchanged. Isolated events lose ties
+// against ordinary events at the same instant (a kill at an integer second
+// fires after that second's mobility tick) and fire in scheduling order among
+// themselves. The band exists to keep faulted outputs stable until a
+// per-owner tie-break replaces the global sequence order (ROADMAP, exact
+// elision by construction).
 func (s *Scheduler) AtIsolated(t Time, label string, fn func()) (*Event, error) {
 	if fn == nil {
 		return nil, errors.New("sim: nil event func")

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"dftmsn/internal/core"
 	"dftmsn/internal/faults"
@@ -41,8 +42,14 @@ import (
 // Version — old snapshots are rejected, never misread.
 const (
 	magic   = "DFTMSNSNAP"
-	Version = 3
+	Version = 4
 )
+
+// Platform names the architecture and Go release this build runs on.
+// Bit-identity holds only within one of each (docs/PROTOCOL.md §8), so a
+// snapshot records the platform it was taken on and a restore elsewhere is
+// refused; service cache keys carry the same string.
+var Platform = runtime.GOARCH + " " + runtime.Version()
 
 // TrafficState is one sensor's Poisson arrival process: its RNG stream and
 // the pending arrival event (nil once the process ended).
@@ -65,6 +72,8 @@ type TelemetryState struct {
 type Snapshot struct {
 	// Time is the virtual-time instant the snapshot was taken at.
 	Time float64
+	// Platform is the snapshot.Platform of the build that took it.
+	Platform string
 	// Config is the canonical JSON scenario configuration.
 	Config []byte
 	// Kernel is the scheduler's clock and counters.

@@ -55,7 +55,6 @@ func testSnapshot() *Snapshot {
 		Traffic:   []TrafficState{{RNG: rng.State(), Ev: &sim.EventRef{At: 130, Seq: 8992}}, {RNG: rng.State()}},
 		NextMsgID: 55,
 		Injector: &faults.State{
-			Armed:   true,
 			Churned: []bool{false, true},
 			Chains:  []faults.ChainState{{Victim: 1, Next: 1, RNG: rng.State(), Ev: &sim.EventRef{At: 140, Seq: 1<<62 + 3, Label: "fault-recover"}}},
 			RNG:     rng.State(),
@@ -137,6 +136,12 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	bad[len(magic)], bad[len(magic)+1] = 0, 2
 	if _, err := DecodeBytes(bad); err == nil {
 		t.Fatal("version 2 snapshot decoded without error")
+	}
+	// Version 3 files do not name their platform.
+	bad = append([]byte(nil), blob...)
+	bad[len(magic)], bad[len(magic)+1] = 0, 3
+	if _, err := DecodeBytes(bad); err == nil {
+		t.Fatal("version 3 snapshot decoded without error")
 	}
 	// Flipped payload bytes: decode must return an error or a snapshot,
 	// never panic.

@@ -387,3 +387,50 @@ func TestRunTelemetryAggregation(t *testing.T) {
 		t.Error("telemetry report attached without Experiment.Telemetry")
 	}
 }
+
+func TestParallelErrorsRecoversPanics(t *testing.T) {
+	errs := ParallelErrors(5, 2, func(i int) error {
+		if i == 2 {
+			panic("boom")
+		}
+		return nil
+	})
+	for i, err := range errs {
+		if i == 2 {
+			if err == nil || !strings.Contains(err.Error(), "job 2 panicked: boom") {
+				t.Fatalf("errs[2] = %v", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("errs[%d] = %v", i, err)
+		}
+	}
+	if err := Parallel(5, 2, func(i int) error {
+		if i == 2 {
+			panic("boom")
+		}
+		return nil
+	}); err == nil {
+		t.Fatal("Parallel swallowed the panic")
+	}
+}
+
+func TestExperimentRunNamesPanickedPoint(t *testing.T) {
+	e := tinyExperiment()
+	e.Variants[1].Build = func(x float64) (scenario.Config, error) {
+		if x == 2 {
+			panic("poisoned build")
+		}
+		return tinyVariant("ZBR", core.SchemeZBR).Build(x)
+	}
+	_, err := e.Run(2)
+	if err == nil {
+		t.Fatal("panicking point did not fail the sweep")
+	}
+	for _, want := range []string{"ZBR", "sinks=2", "seed", "panic", "poisoned build"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error missing %q: %v", want, err)
+		}
+	}
+}
